@@ -8,9 +8,9 @@ string-type, crossed modules, left-symmetric products, symplectic forms).
 
 from .cohomology import (Cochain, Representation, adjoint_representation,
                          check_representation, class_is_trivial, coboundary,
-                         cohomology_dims, cohomology_inclusion_check,
-                         dual_representation, hom_cochain_basis, is_hom_cochain,
-                         trivial_representation)
+                         coboundary_matrix, cohomology_dims,
+                         cohomology_inclusion_check, dual_representation,
+                         hom_cochain_basis, is_hom_cochain, trivial_representation)
 from .constructions import (CrossedModule, HomLeftSymmetric, QuadraticHomLie,
                             SymplecticHomLie, check_crossed_module,
                             check_left_symmetric, check_quadratic,

@@ -232,7 +232,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (ModelError, InputError, FileNotFoundError) as exc:
+    except (ModelError, InputError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

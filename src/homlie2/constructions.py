@@ -112,16 +112,18 @@ def l3_from_B(q: QuadraticHomLie) -> Cochain:
                 if full[i][j][k] != -full[j][i][k] or full[i][j][k] != -full[i][k][j]:
                     raise CheckFailure("form is not invariant enough to give a skew l3")
     f = cochain_from_function(3, n, 1, lambda t: (full[t[0]][t[1]][t[2]],))
-    rep = trivial_representation(g)
-    if f.degree <= n and not coboundary(f, rep).is_zero():
+    if not coboundary(f, trivial_representation(g)).is_zero():
         raise CheckFailure("l3_from_B output is not closed")
     return f
 
 
 def skeletal_from_quadratic(q: QuadraticHomLie) -> TwoTermHL:
     """(R -0-> g, l2 = bracket on objects and 0 on the module, l3 = B([x,y],z))."""
-    g = q.algebra
-    f = l3_from_B(q)  # validates involutivity and the form
+    return _skeletal(q.algebra, l3_from_B(q))  # validates involutivity and the form
+
+
+def _skeletal(g: HomLieAlgebra, f: Cochain) -> TwoTermHL:
+    """The skeletal structure whose l3 is the verified closed 3-cochain f."""
     n = g.dim
     l3 = tuple(tuple(tuple(f.evaluate([g.basis(i), g.basis(j), g.basis(k)])
                            for k in range(n)) for j in range(n)) for i in range(n))
@@ -163,9 +165,8 @@ def string_from_semisimple(g: HomLieAlgebra) -> TwoTermHL:
     if rank(killing_form(g_tw)) != g.dim:
         raise PreconditionError("not semisimple: Killing form of the untwisted algebra is degenerate")
     B = killing_form(g)
-    q = quadratic(g, B)
-    out = skeletal_from_quadratic(q)
-    f = l3_from_B(q)
+    f = l3_from_B(quadratic(g, B))
+    out = _skeletal(g, f)
     if class_is_trivial(f, trivial_representation(g)):
         raise CheckFailure("string l3 class is unexpectedly trivial")
     return out

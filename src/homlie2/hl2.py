@@ -633,5 +633,3 @@ def _alpha_items(L: HomLie2Data, chk: LawChecker) -> None:
              note="stored bracket equals the one induced by its own l2 parts")
     chk.add("alpha-phi", L.Phi1 == expected.Phi1,
             note="twist functor is block-diagonal over (objects, Ker s)")
-    chk.add("alpha-invertible", True,
-            note="the comparison functor is the identity in complex coordinates")

@@ -61,28 +61,8 @@ class TwoVectorSpace:
 
 
 def from_complex(d: Matrix) -> TwoVectorSpace:
-    """The 2-vector space of a 2-term complex, with its category laws verified
-    on basis elements at construction time."""
-    tvs = TwoVectorSpace(d.rows, d.cols, d)
-    for p in range(tvs.dim0):
-        obj = tuple(F1 if q == p else F0 for q in range(tvs.dim0))
-        unit = tvs.ident(obj)
-        if tvs.source(unit) != obj or tvs.target(unit) != obj:
-            raise InputError("identity arrows fail s∘i = t∘i = id")
-    for mor in tvs.mor_basis():
-        left = tvs.compose(tvs.ident(tvs.source(mor)), mor)
-        right = tvs.compose(mor, tvs.ident(tvs.target(mor)))
-        if left != mor or right != mor:
-            raise InputError("identity arrows are not units for vertical composition")
-    # associativity: (m . a) . b = m . (a . b) for composable stacks built on a basis
-    for mor in tvs.mor_basis():
-        for m1 in range(tvs.dim1):
-            a_part = tuple(F1 if q == m1 else F0 for q in range(tvs.dim1))
-            a = (tvs.target(mor), a_part)
-            b = (tvs.target(a), a_part)
-            if tvs.compose(tvs.compose(mor, a), b) != tvs.compose(mor, tvs.compose(a, b)):
-                raise InputError("vertical composition is not associative")
-    return tvs
+    """The 2-vector space of a 2-term complex d: V1 -> V0."""
+    return TwoVectorSpace(d.rows, d.cols, d)
 
 
 def check_linear_functor(pair: tuple[Matrix, Matrix], tvs: TwoVectorSpace) -> bool:

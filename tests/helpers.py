@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from homlie2.cohomology import (Representation, adjoint_representation,
+from homlie2.cohomology import (Cochain, Representation, adjoint_representation,
                                 hom_cochain_basis, trivial_representation,
                                 zero_cochain)
 from homlie2.constructions import sl2_example
-from homlie2.exactlin import Matrix
+from homlie2.errors import PreconditionError
+from homlie2.exactlin import Matrix, det_of, rank, rank_and_kernel
 from homlie2.homlie import HomLieAlgebra, abelian_algebra
 
 
@@ -61,6 +63,22 @@ def nilpotent4(a=1, b=1) -> HomLieAlgebra:
     return HomLieAlgebra(4, br, Matrix.diagonal([a, b, a * b, 1]))
 
 
+def sl2_sum(c: int) -> HomLieAlgebra:
+    """The direct sum of c copies of the built-in sl(2), twisted blockwise."""
+    g = sl2_example()
+    n = 3 * c
+    br = [[[0] * n for _ in range(n)] for _ in range(n)]
+    phi = [[0] * n for _ in range(n)]
+    for b in range(c):
+        o = 3 * b
+        for i in range(3):
+            for j in range(3):
+                phi[o + i][o + j] = g.phi[i, j]
+                for l in range(3):
+                    br[o + i][o + j][o + l] = g.bracket[i][j][l]
+    return HomLieAlgebra(n, br, Matrix(n, n, phi))
+
+
 def random_algebra(rng: random.Random, max_dim=4) -> HomLieAlgebra:
     kind = rng.randrange(4)
     if kind == 0:
@@ -97,3 +115,90 @@ def random_hom_cochain(rng: random.Random, rep: Representation, k: int):
     for b in basis:
         out = out + b.scale(rnd_frac(rng))
     return out
+
+
+# --------------------------------------------------------------------------
+# Reference cohomology: the twisted formula evaluated one cochain at a time,
+# with its own determinant sums over every basis tuple.
+# --------------------------------------------------------------------------
+
+def _ref_evaluate(f: Cochain, vectors) -> tuple:
+    out = [Fraction(0)] * f.module_dim
+    for s, comp in zip(f.tuples(), f.comps):
+        d = det_of([tuple(v[l] for l in s) for v in vectors])
+        for a, e in enumerate(comp):
+            out[a] += d * e
+    return tuple(out)
+
+
+def reference_is_hom_cochain(f: Cochain, r: Representation) -> bool:
+    phi = r.algebra.phi
+    return all(r.A.apply(comp) == _ref_evaluate(f, [phi.column(i) for i in t])
+               for t, comp in zip(f.tuples(), f.comps))
+
+
+def reference_coboundary(f: Cochain, r: Representation) -> Cochain:
+    """df for a k-hom-cochain f.  The action argument carries phi^{k-1}, with
+    the identity at k = 0; the spectators of the bracket slot carry one phi."""
+    g = r.algebra
+    n, m, k = g.dim, r.module_dim, f.degree
+    value = dict(zip(f.tuples(), f.comps))
+    phi_cols = [g.phi.column(j) for j in range(n)]
+    phi_pow = g.phi.power(max(k - 1, 0))
+    rho_tw = [r.rho_at(phi_pow.column(i)) for i in range(n)]
+    comps = []
+    for t in combinations(range(n), k + 1):
+        total = [Fraction(0)] * m
+        for pos in range(k + 1):
+            term = rho_tw[t[pos]].apply(value[t[:pos] + t[pos + 1:]])
+            sign = -1 if pos % 2 else 1
+            total = [x + sign * y for x, y in zip(total, term)]
+        for p in range(k + 1):
+            for q in range(p + 1, k + 1):
+                args = [g.bracket[t[p]][t[q]]] + [phi_cols[t[s]] for s in range(k + 1)
+                                                  if s != p and s != q]
+                term = _ref_evaluate(f, args)
+                sign = -1 if (p + q) % 2 else 1
+                total = [x + sign * y for x, y in zip(total, term)]
+        comps.append(tuple(total))
+    return Cochain(k + 1, n, m, tuple(comps))
+
+
+def reference_hom_basis(r: Representation, k: int) -> list[Cochain]:
+    """Kernel of A∘f − f∘phi^(⊗k) on the skew k-space, k >= 0."""
+    n, m = r.algebra.dim, r.module_dim
+    tuples = list(combinations(range(n), k))
+    size = len(tuples) * m
+    if size == 0:
+        return []
+    phi = r.algebra.phi
+    rows = []
+    for ti, t in enumerate(tuples):
+        dets = [det_of([tuple(phi.column(i)[l] for l in s) for i in t]) for s in tuples]
+        for a in range(m):
+            row = [Fraction(0)] * size
+            for b in range(m):
+                row[ti * m + b] += r.A[a, b]
+            for si, d in enumerate(dets):
+                row[si * m + a] -= d
+            rows.append(row)
+    _, kernel = rank_and_kernel(Matrix(size, size, rows))
+    return [Cochain(k, n, m, tuple(tuple(v[ti * m:ti * m + m]) for ti in range(len(tuples))))
+            for v in kernel]
+
+
+def reference_dims(r: Representation, k: int) -> tuple[int, int, int, int]:
+    """(C, Z, B, H) from the per-cochain formula; PreconditionError when a
+    generator of B^k is not a closed hom-cochain."""
+    cbasis = reference_hom_basis(r, k)
+    if not cbasis:
+        return (0, 0, 0, 0)
+    d_cols = [reference_coboundary(b, r).coords() for b in cbasis]
+    dim_z = len(cbasis) - (rank(Matrix.from_columns(d_cols)) if d_cols[0] else 0)
+    gens = [reference_coboundary(b, r) for b in reference_hom_basis(r, k - 1)] if k else []
+    img = [c.coords() for c in gens]
+    dim_b = rank(Matrix.from_columns(img)) if img and img[0] else 0
+    for c in gens:
+        if not reference_is_hom_cochain(c, r) or not reference_coboundary(c, r).is_zero():
+            raise PreconditionError("B^k is not inside Z^k")
+    return (len(cbasis), dim_z, dim_b, dim_z - dim_b)

@@ -132,6 +132,22 @@ def test_missing_file_is_input_error():
     assert run("check", "/nonexistent/file.json") == 2
 
 
+def test_directory_is_input_error(tmp_path, capsys):
+    assert run("check", str(tmp_path)) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert run("check", str(p)) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_out_to_directory_is_input_error(tmp_path):
+    assert run("builtin", "sl2", "--out", str(tmp_path)) == 2
+
+
 def test_bad_json_is_input_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{", encoding="utf-8")

@@ -1,22 +1,25 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from helpers import (heisenberg, random_algebra, random_hom_cochain,
-                     random_representation)
+                     random_representation, reference_coboundary, reference_dims,
+                     reference_hom_basis, sl2_sum)
 from homlie2.cohomology import (Representation,
                                 adjoint_representation, check_representation,
-                                class_is_trivial, coboundary, cochain_from_function,
+                                class_is_trivial, coboundary, coboundary_matrix,
+                                cochain_from_function,
                                 cohomology_dims, cohomology_inclusion_check,
                                 degree0_coboundary, dual_representation,
-                                fixed_module_vectors, hom_cochain_basis,
+                                hom_cochain_basis,
                                 is_hom_cochain, trivial_representation,
                                 zero_cochain)
 from homlie2.constructions import sl2_example
 from homlie2.errors import InputError, PreconditionError
 from homlie2.exactlin import Matrix
-from homlie2.homlie import abelian_algebra
+from homlie2.homlie import abelian_algebra, twisted_algebra
 
 F = Fraction
 
@@ -119,9 +122,11 @@ def test_coboundary_degree_zero_rejected():
 def test_degree0_coboundary_convention():
     g = sl2_example()
     rep = adjoint_representation(g)
-    fixed = fixed_module_vectors(rep)
+    fixed = hom_cochain_basis(rep, 0)  # C^0: the phi-fixed vectors
+    assert len(fixed) == 1
     for v in fixed:
-        dv = degree0_coboundary(v, rep)
+        assert rep.A.apply(v.comps[0]) == v.comps[0]
+        dv = degree0_coboundary(v.comps[0], rep)
         assert dv.degree == 1
     with pytest.raises(PreconditionError):
         degree0_coboundary((F(1), F(0), F(0)), rep)  # not phi-fixed (phi A = -B)
@@ -270,3 +275,73 @@ def test_dims_above_top_degree_are_zero():
     rep = trivial_representation(sl2_example())
     assert cohomology_dims(rep, 4) == (0, 0, 0, 0)
     assert cohomology_dims(rep, 7) == (0, 0, 0, 0)
+
+
+# -- the coboundary matrix against the per-cochain reference -------------------
+
+def _dims_or_error(fn, rep, k):
+    try:
+        return fn(rep, k)
+    except PreconditionError:
+        return PreconditionError
+
+
+def test_coboundary_matrix_matches_reference_on_random_families():
+    rng = random.Random(20261018)
+    cases = 0
+    for _ in range(16):
+        g = random_algebra(rng)
+        for rep in (trivial_representation(g), adjoint_representation(g),
+                    random_representation(rng, g)):
+            for k in range(g.dim + 2):
+                basis = hom_cochain_basis(rep, k)
+                assert basis == reference_hom_basis(rep, k)
+                d = coboundary_matrix(rep, k)
+                for b in basis:
+                    assert d.apply(b.coords()) == reference_coboundary(b, rep).coords()
+                assert (_dims_or_error(cohomology_dims, rep, k)
+                        == _dims_or_error(reference_dims, rep, k))
+                cases += 1
+    assert cases >= 150
+
+
+def test_coboundary_matrix_degree_zero_shape_and_negative_degree():
+    rep = adjoint_representation(sl2_example())
+    assert coboundary_matrix(rep, 0).shape() == (9, 3)
+    with pytest.raises(InputError):
+        coboundary_matrix(rep, -1)
+
+
+@pytest.mark.parametrize("A,rho", [
+    # non-commuting action of an abelian algebra: d_1 d_0 != 0
+    (Matrix.identity(2), (Matrix(2, 2, [[0, 1], [0, 0]]), Matrix(2, 2, [[1, 0], [0, 0]]))),
+    # rho(u) moves the A-fixed vector off the fixed line: d_0 v is no hom-cochain
+    (Matrix.diagonal([1, 2]), (Matrix(2, 2, [[0, 0], [1, 0]]), Matrix.zeros(2, 2))),
+])
+def test_b1_not_in_z1_is_refused(A, rho):
+    # both actions fail the representation laws, and with them B^1 ⊆ Z^1
+    r = Representation(abelian_algebra(2), 2, A, rho)
+    assert not check_representation(r).ok
+    assert _dims_or_error(reference_dims, r, 1) is PreconditionError
+    with pytest.raises(PreconditionError):
+        cohomology_dims(r, 1)
+
+
+# -- closed forms: Chevalley-Eilenberg and Whitehead at phi = Id ---------------
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_sl2_sum_trivial_poincare_polynomial(c):
+    g = twisted_algebra(sl2_sum(c))
+    rep = trivial_representation(g)
+    # coefficients of (1 + t^3)^c
+    expected = [0] * (3 * c + 2)
+    for j in range(c + 1):
+        expected[3 * j] = comb(c, j)
+    assert [cohomology_dims(rep, k)[3] for k in range(3 * c + 2)] == expected
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_whitehead_lemmas_adjoint(c):
+    rep = adjoint_representation(twisted_algebra(sl2_sum(c)))
+    assert cohomology_dims(rep, 1)[3] == 0
+    assert cohomology_dims(rep, 2)[3] == 0

@@ -31,6 +31,30 @@ def test_compose_requires_matching_endpoints():
         tvs.compose(a, a)
 
 
+def _two_term_fixture_ds():
+    from pathlib import Path
+    from homlie2.modelfile import load_model
+    fixdir = Path(__file__).parent.parent / "fixtures"
+    records = [load_model(path) for path in sorted(fixdir.glob("*.json"))]
+    return [r.d for r in records if type(r).__name__ == "TwoTermHL"]
+
+
+def _assert_category_laws(tvs):
+    """Identities are units and vertical composition is associative, on a basis."""
+    for p in range(tvs.dim0):
+        obj = tuple(F(int(q == p)) for q in range(tvs.dim0))
+        unit = tvs.ident(obj)
+        assert tvs.source(unit) == obj and tvs.target(unit) == obj
+    for mor in tvs.mor_basis():
+        assert tvs.compose(tvs.ident(tvs.source(mor)), mor) == mor
+        assert tvs.compose(mor, tvs.ident(tvs.target(mor))) == mor
+        for m1 in range(tvs.dim1):
+            a_part = tuple(F(int(q == m1)) for q in range(tvs.dim1))
+            a = (tvs.target(mor), a_part)
+            b = (tvs.target(a), a_part)
+            assert tvs.compose(tvs.compose(mor, a), b) == tvs.compose(mor, tvs.compose(a, b))
+
+
 def test_vertical_composition_associativity_and_units():
     tvs = from_complex(Matrix(2, 2, [[1, 2], [0, 1]]))
     m1 = ((F(1), F(1)), (F(1), F(-1)))
@@ -41,6 +65,11 @@ def test_vertical_composition_associativity_and_units():
     assert lhs == rhs
     assert tvs.compose(tvs.ident(tvs.source(m1)), m1) == m1
     assert tvs.compose(m1, tvs.ident(tvs.target(m1))) == m1
+    fixture_ds = _two_term_fixture_ds()
+    assert len(fixture_ds) >= 3
+    for d in [Matrix.zeros(2, 3), Matrix.identity(3), Matrix(3, 2, [[1, 2], [2, 4], [0, 0]]),
+              Matrix(2, 2, [[1, 2], [0, 1]])] + fixture_ds:
+        _assert_category_laws(from_complex(d))
 
 
 def test_check_linear_functor():
