@@ -7,7 +7,12 @@ differential) come from exhaustive grid searches over small rational entries;
 iteration order is fixed, the lexicographically first witness wins, so the
 output is deterministic.  Run from the repository root:
 
-    python3 scripts/make_fixtures.py
+    python3 scripts/make_fixtures.py [OUTDIR]
+
+OUTDIR defaults to fixtures/.  Regenerating into a scratch directory and
+diffing it against fixtures/ checks that no answer changed:
+
+    out=$(mktemp -d) && python3 scripts/make_fixtures.py "$out" && diff -r "$out" fixtures
 """
 
 from __future__ import annotations
@@ -194,13 +199,13 @@ def require(report: CheckReport, what: str):
         raise SystemExit(f"{what} failed validation:\n{report.table()}")
 
 
-def main():
-    FIXDIR.mkdir(exist_ok=True)
+def main(outdir: Path = FIXDIR):
+    outdir.mkdir(parents=True, exist_ok=True)
     g = sl2_example()
-    save_model(g, FIXDIR / "sl2.json")
+    save_model(g, outdir / "sl2.json")
 
     v_string = string_from_semisimple(g)
-    save_model(v_string, FIXDIR / "sl2_string.json")
+    save_model(v_string, outdir / "sl2_string.json")
 
     z3 = zero3(3)
     l3 = [[[[0] for _ in range(3)] for _ in range(3)] for _ in range(3)]
@@ -208,7 +213,7 @@ def main():
                          [[[[0, 0, 0] for _ in range(3)] for _ in range(3)] for _ in range(3)],
                          g.phi, g.phi)
     require(check_two_term(v_strict), "shift strict example")
-    save_model(v_strict, FIXDIR / "sl2_strict_shift.json")
+    save_model(v_strict, outdir / "sl2_strict_shift.json")
 
     v_abelian = TwoTermHL(2, 2, Matrix.zeros(2, 2),
                           [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
@@ -216,40 +221,40 @@ def main():
                           [[[[0, 0] for _ in range(2)] for _ in range(2)] for _ in range(2)],
                           Matrix.diagonal([-1, -1]), Matrix(2, 2, [[0, 1], [1, 0]]))
     require(check_two_term(v_abelian), "abelian two-term example")
-    save_model(v_abelian, FIXDIR / "abelian2_two_term.json")
+    save_model(v_abelian, outdir / "abelian2_two_term.json")
 
     g_ab = abelian_algebra(2, Matrix.diagonal([-1, -1]))
     s_ab = SymplecticHomLie(g_ab, Matrix(2, 2, [[0, 1], [-1, 0]]))
     require(check_symplectic(s_ab), "abelian symplectic example")
-    save_model(s_ab, FIXDIR / "symplectic_abelian2.json")
+    save_model(s_ab, outdir / "symplectic_abelian2.json")
 
     rep_adj = adjoint_representation(g)
     require(check_representation(rep_adj), "adjoint representation")
-    save_model(rep_adj, FIXDIR / "sl2_adjoint_rep.json")
+    save_model(rep_adj, outdir / "sl2_adjoint_rep.json")
 
     from homlie2.hl2 import HLMorphism, check_hl_morphism
     phi_endo = HLMorphism(v_string, v_string, g.phi, Matrix.identity(1),
                           [[[0] for _ in range(3)] for _ in range(3)])
     require(check_hl_morphism(phi_endo), "twist endomorphism of the string example")
-    save_model(phi_endo, FIXDIR / "hl_morphism_phi_string.json")
+    save_model(phi_endo, outdir / "hl_morphism_phi_string.json")
 
     print("searching for the 4-dim symplectic example ...")
     s4 = find_symplectic4()
-    save_model(s4, FIXDIR / "symplectic_nontrivial4.json")
+    save_model(s4, outdir / "symplectic_nontrivial4.json")
     print("  bracket relation:", [(i, j, k, str(x)) for i in range(4) for j in range(4)
                                   for k, x in enumerate(s4.algebra.bracket[i][j]) if x != 0][:2],
           "phi diag:", [str(s4.algebra.phi[i, i]) for i in range(4)])
 
     print("searching for the small crossed module ...")
     cm = find_crossed_module()
-    save_model(cm, FIXDIR / "crossed_small.json")
+    save_model(cm, outdir / "crossed_small.json")
 
     print("searching for the left-symmetric pair ...")
     ls = find_leftsym_with_d()
-    save_model(ls, FIXDIR / "leftsym_with_d.json")
+    save_model(ls, outdir / "leftsym_with_d.json")
 
-    print("fixtures written to", FIXDIR)
+    print("fixtures written to", outdir)
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else FIXDIR)

@@ -3,15 +3,19 @@
 Every axiom check in this package reduces to an identity between rational
 tensors, every cohomology space to a kernel, and every triviality question
 to exact solvability.  The substrate is therefore deliberately small:
-immutable dense matrices over ``fractions.Fraction``, Gaussian elimination
-with exact pivots, kernels, and span membership.  Dimensions stay around a
-dozen; there is no floating point and no rounding anywhere.
+immutable dense matrices over ``fractions.Fraction``, kernels, solutions,
+inverses and span membership.  Fractions are the API; elimination runs
+fraction-free on integer rows, each kept primitive by dividing out its
+content, and is normalised to the unique reduced row echelon form only at
+the end, so the answers are those of Fraction elimination.  There is no
+floating point and no rounding anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -26,6 +30,8 @@ def rat(x) -> Fraction:
     """Coerce an int, string ("p/q" or "p") or Fraction to a Fraction."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise InputError(f"cannot interpret bool {x!r} as a rational")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -63,7 +69,7 @@ def vscale(c: Fraction, a: Vec) -> Vec:
 
 
 def is_zero_vec(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 class Matrix:
@@ -72,7 +78,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data):
-        rows_t = tuple(tuple(rat(x) for x in row) for row in data)
+        rows_t = tuple(tuple(x if x.__class__ is Fraction else rat(x) for x in row)
+                       for row in data)
         if len(rows_t) != rows or any(len(r) != cols for r in rows_t):
             raise InputError(f"matrix data does not have shape {rows}x{cols}")
         object.__setattr__(self, "rows", rows)
@@ -140,11 +147,11 @@ class Matrix:
             raise InputError(f"vector length {len(v)} != cols {self.cols}")
         out = [F0] * self.rows
         for j, c in enumerate(v):
-            if c == 0:
+            if not c:
                 continue
             for i in range(self.rows):
                 a = self.data[i][j]
-                if a != 0:
+                if a:
                     out[i] += a * c
         return tuple(out)
 
@@ -158,13 +165,13 @@ class Matrix:
             ri = self.data[i]
             for k in range(self.cols):
                 a = ri[k]
-                if a == 0:
+                if not a:
                     continue
                 rk = other.data[k]
                 row = data[i]
                 for j in range(other.cols):
                     b = rk[j]
-                    if b != 0:
+                    if b:
                         row[j] += a * b
         return Matrix(self.rows, other.cols, data)
 
@@ -210,7 +217,7 @@ class Matrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.data for a in r)
+        return not any(map(any, self.data))
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
@@ -241,32 +248,40 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduce rows in place to reduced row echelon form; return pivot columns."""
+def _rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[int], list[list[int]]]:
+    """Gauss–Jordan on integer copies of the rows; return (pivot columns, int rows).
+
+    Each row is scaled by the lcm of its denominators and eliminated
+    fraction-free (row_i <- pv·row_i - f·row_r, then divided by its content),
+    so every int row stays a nonzero multiple of the row the Fraction
+    elimination would hold.  Row r of the unique RREF is int row r divided
+    by its pivot entry; callers build Fractions only for what they return.
+    """
+    irows = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        irows.append([x.numerator * (d // x.denominator) for x in row])
     pivots: list[int] = []
     r = 0
-    nrows = len(rows)
+    nrows = len(irows)
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if irows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
+        irows[r], irows[pr] = irows[pr], irows[r]
+        prow = irows[r]
+        pv = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = irows[i][c]
+            if f and i != r:
+                row = [pv * a - f * b for a, b in zip(irows[i], prow)]
+                g = gcd(*row)
+                irows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, irows
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
@@ -276,9 +291,7 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
     and the kernel vectors are linearly independent by construction (each
     has a 1 in a distinct free column).
     """
-    rows = [list(r) for r in m.data]
-    pivots = _rref(rows, m.cols)
-    rank = len(pivots)
+    pivots, rows = _rref(m.data, m.cols)
     pivot_set = set(pivots)
     kernel: list[Vec] = []
     for j in range(m.cols):
@@ -287,9 +300,9 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
         v = [F0] * m.cols
         v[j] = F1
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][j]
+            v[pc] = Fraction(-rows[r][j], rows[r][pc])
         kernel.append(tuple(v))
-    return rank, kernel
+    return len(pivots), kernel
 
 
 def rank(m: Matrix) -> int:
@@ -304,13 +317,12 @@ def solve_linear(m: Matrix, b: Vec) -> Vec | None:
     if len(b) != m.rows:
         raise InputError(f"rhs length {len(b)} != rows {m.rows}")
     rows = [list(r) + [rat(x)] for r, x in zip(m.data, b)]
-    pivots = _rref(rows, m.cols)
-    for r in range(len(pivots), m.rows):
-        if rows[r][m.cols] != 0:
-            return None
+    pivots, rows = _rref(rows, m.cols)
+    if any(row[m.cols] for row in rows[len(pivots):]):
+        return None
     x = [F0] * m.cols
     for r, pc in enumerate(pivots):
-        x[pc] = rows[r][m.cols]
+        x[pc] = Fraction(rows[r][m.cols], rows[r][pc])
     return tuple(x)
 
 
@@ -330,10 +342,10 @@ def inverse(m: Matrix) -> Matrix:
         raise InputError("inverse of a non-square matrix")
     n = m.rows
     rows = [list(r) + [F1 if i == j else F0 for j in range(n)] for i, r in enumerate(m.data)]
-    pivots = _rref(rows, n)
+    pivots, rows = _rref(rows, n)
     if len(pivots) != n:
         raise InputError("matrix is singular")
-    return Matrix(n, n, [r[n:] for r in rows])
+    return Matrix(n, n, [[Fraction(a, r[i]) for a in r[n:]] for i, r in enumerate(rows)])
 
 
 def det_of(rows: Sequence[Vec]) -> Fraction:

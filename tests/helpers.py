@@ -18,7 +18,7 @@ from homlie2.cohomology import (Cochain, Representation, adjoint_representation,
                                 zero_cochain)
 from homlie2.constructions import sl2_example
 from homlie2.errors import PreconditionError
-from homlie2.exactlin import Matrix, det_of, rank, rank_and_kernel
+from homlie2.exactlin import F0, F1, Matrix, Vec, det_of, rank, rank_and_kernel, rat
 from homlie2.homlie import HomLieAlgebra, abelian_algebra
 
 
@@ -202,3 +202,72 @@ def reference_dims(r: Representation, k: int) -> tuple[int, int, int, int]:
         if not reference_is_hom_cochain(c, r) or not reference_coboundary(c, r).is_zero():
             raise PreconditionError("B^k is not inside Z^k")
     return (len(cbasis), dim_z, dim_b, dim_z - dim_b)
+
+
+# --------------------------------------------------------------------------
+# Reference elimination: Gauss–Jordan on Fractions, normalising each pivot
+# row as it goes.  The integer kernel in exactlin must agree repr for repr.
+# --------------------------------------------------------------------------
+
+def reference_rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce rows in place to reduced row echelon form; return pivot columns."""
+    pivots: list[int] = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def reference_rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
+    rows = [list(r) for r in m.data]
+    pivots = reference_rref(rows, m.cols)
+    kernel: list[Vec] = []
+    for j in range(m.cols):
+        if j in pivots:
+            continue
+        v = [F0] * m.cols
+        v[j] = F1
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][j]
+        kernel.append(tuple(v))
+    return len(pivots), kernel
+
+
+def reference_solve_linear(m: Matrix, b: Vec) -> Vec | None:
+    rows = [list(r) + [rat(x)] for r, x in zip(m.data, b)]
+    pivots = reference_rref(rows, m.cols)
+    for r in range(len(pivots), m.rows):
+        if rows[r][m.cols] != 0:
+            return None
+    x = [F0] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][m.cols]
+    return tuple(x)
+
+
+def reference_inverse(m: Matrix) -> Matrix | None:
+    """The exact inverse, or None when m is singular."""
+    n = m.rows
+    rows = [list(r) + [F1 if i == j else F0 for j in range(n)] for i, r in enumerate(m.data)]
+    if len(reference_rref(rows, n)) != n:
+        return None
+    return Matrix(n, n, [r[n:] for r in rows])

@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from helpers import (reference_inverse, reference_rank_and_kernel,
+                     reference_solve_linear, sl2_sum)
+from homlie2.cohomology import (_hom_system, _kernel_columns, adjoint_representation,
+                                coboundary_matrix, trivial_representation)
 from homlie2.errors import InputError
-from homlie2.exactlin import (Matrix, det_of, in_span, inverse, rank,
-                              rank_and_kernel, solve_linear)
+from homlie2.exactlin import (Matrix, _rref, det_of, in_span, inverse, rank,
+                              rank_and_kernel, rat, solve_linear)
 
 F = Fraction
 
@@ -59,6 +66,14 @@ def test_in_span_cases():
     assert in_span([(F(1), F(1)), (F(1), F(-1))], (F(5), F(3)))
 
 
+def test_bool_is_not_a_rational():
+    for bad in (True, False):
+        with pytest.raises(InputError):
+            rat(bad)
+    with pytest.raises(InputError):
+        Matrix(1, 1, [[True]])
+
+
 def test_inverse_and_det():
     m = Matrix(2, 2, [[1, 2], [3, 5]])
     assert m * inverse(m) == Matrix.identity(2)
@@ -108,3 +123,93 @@ def test_in_span_matches_solve(rows):
     cols = m.columns()
     target = m.apply(tuple(F(1) for _ in range(m.cols)))
     assert in_span(cols, target)
+
+
+# --------------------------------------------------------------------------
+# The integer elimination kernel against the Fraction reference and sympy
+# --------------------------------------------------------------------------
+
+entries = st.one_of(st.just(F(0)), st.builds(F, st.integers(-6, 6), st.integers(1, 7)))
+
+
+@st.composite
+def rational_matrices(draw, max_rows=8, max_cols=10, square=False):
+    """Rational matrices up to max_rows x max_cols, empty shapes included;
+    about half the rows after the second are combinations of earlier rows."""
+    rows = draw(st.integers(0, max_rows))
+    cols = rows if square else draw(st.integers(0, max_cols))
+    data = []
+    for i in range(rows):
+        if i >= 2 and draw(st.booleans()):
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            ca, cb = draw(entries), draw(entries)
+            data.append([ca * x + cb * y for x, y in zip(data[a], data[b])])
+        else:
+            data.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
+    return Matrix(rows, cols, data)
+
+
+def inverse_or_none(m):
+    try:
+        return inverse(m)
+    except InputError:
+        return None
+
+
+def assert_matches_reference(m):
+    assert repr(rank_and_kernel(m)) == repr(reference_rank_and_kernel(m))
+    inside = m.apply(tuple(F(j + 1, 2) for j in range(m.cols)))
+    assert repr(solve_linear(m, inside)) == repr(reference_solve_linear(m, inside))
+    if m.rows == m.cols:
+        assert repr(inverse_or_none(m)) == repr(reference_inverse(m))
+
+
+@given(rational_matrices(), st.lists(entries, min_size=8, max_size=8))
+@settings(max_examples=120, deadline=None)
+def test_kernel_matches_reference(m, bs):
+    assert_matches_reference(m)
+    b = tuple(bs[:m.rows])
+    assert repr(solve_linear(m, b)) == repr(reference_solve_linear(m, b))
+
+
+@given(rational_matrices(square=True))
+@settings(max_examples=60, deadline=None)
+def test_inverse_matches_reference(m):
+    assert repr(inverse_or_none(m)) == repr(reference_inverse(m))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_shapes_match_reference(shape):
+    m = Matrix.zeros(*shape)
+    assert_matches_reference(m)
+    b = tuple(F(i % 2) for i in range(m.rows))
+    assert repr(solve_linear(m, b)) == repr(reference_solve_linear(m, b))
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_cohomology_systems_match_reference(c):
+    """The hom-cochain systems and the D_k·C_k products of sl(2)^c."""
+    g = sl2_sum(c)
+    for r in (trivial_representation(g), adjoint_representation(g)):
+        # k = 3 stops at module dim 3: the adjoint sl(2)^2 system there is 120x120
+        for k in range(4 if r.module_dim <= 3 else 3):
+            hom = _hom_system(r, k)
+            assert_matches_reference(hom)
+            assert_matches_reference(coboundary_matrix(r, k) * _kernel_columns(hom))
+
+
+def sympy_rref(m):
+    dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in r] for r in m.data],
+                      m.shape(), QQ)
+    rref, pivots = dm.rref()
+    rows = [[F(int(x.numerator), int(x.denominator)) for x in r] for r in rref.to_list()]
+    return list(pivots), rows[:len(pivots)]
+
+
+@given(rational_matrices())
+@settings(max_examples=80, deadline=None)
+def test_rref_matches_sympy(m):
+    pivots, rows = _rref(m.data, m.cols)
+    ours = [[F(a, row[pc]) for a in row] for row, pc in zip(rows, pivots)]
+    assert (pivots, ours) == sympy_rref(m)
+    assert rank(m) == len(pivots)
