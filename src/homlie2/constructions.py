@@ -16,7 +16,7 @@ from .cohomology import (Cochain, Representation, check_representation,
                          class_is_trivial, cochain_from_function, coboundary,
                          dual_representation, trivial_representation)
 from .errors import CheckFailure, InputError, PreconditionError
-from .exactlin import (F0, F1, Matrix, Vec, inverse, rank, solve_linear,
+from .exactlin import (F0, Matrix, Vec, inverse, rank, solve_linear, unit_vec,
                        vadd, vneg, zero_vec)
 from .homlie import (HomLieAlgebra, HomLieMorphism, Tensor2, as_tensor2,
                      bilinear_eval, check_hom_lie, check_hom_lie_morphism,
@@ -291,7 +291,7 @@ class HomLeftSymmetric:
         return bilinear_eval(self.star, x, y, self.dim)
 
     def basis(self, i: int) -> Vec:
-        return tuple(F1 if j == i else F0 for j in range(self.dim))
+        return unit_vec(self.dim, i)
 
 
 @dataclass(frozen=True)
@@ -512,7 +512,7 @@ def strict_from_symplectic(s: SymplecticHomLie) -> TwoTermHL:
     def dual_act(x_vec: Vec, xi: Vec) -> Vec:
         return dual.rho_at(x_vec).apply(xi)
 
-    dual_basis = [tuple(F1 if t == b else F0 for t in range(n)) for b in range(n)]
+    dual_basis = [unit_vec(n, b) for b in range(n)]
     chk.scan("d-pairing-slot",
              (((a_, b), dual_act(d.column(a_), dual_basis[b]) ==
                vneg(dual_act(d.column(b), dual_basis[a_])))

@@ -9,21 +9,41 @@ fraction-free on integer rows, each kept primitive by dividing out its
 content, and is normalised to the unique reduced row echelon form only at
 the end, so the answers are those of Fraction elimination.  There is no
 floating point and no rounding anywhere.
+
+Tensor evaluation has one sparse, integer-first kernel.  `sparse_vec` turns
+a vector into (index, coefficient) pairs for its nonzero entries, where a
+coefficient is an int when the entry is integral and the Fraction
+otherwise.  A `Tensor` (the nested tuples of structure constants) and a
+`Matrix` (by columns) build this form of their leaves on first use and keep
+it, and the evaluators (`Matrix.apply`, `bilinear_eval` in `homlie`,
+`trilinear_eval` in `hl2`) walk only nonzero inputs against it, adding into
+int zeros.  The rule is "int where integral": an integral computation runs
+on Python ints, and a non-integral entry turns into Fractions only the
+values it touches.  Nothing is divided, int–Fraction arithmetic is exact
+and ``3 == Fraction(3)`` with equal hashes, so every comparison gives the
+answer Fraction arithmetic would.  Evaluated vectors may therefore hold ints
+where they are integral; stored structures stay all-Fraction, because
+`vec` and `Matrix` coerce their entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import gcd, lcm
+from operator import add, neg
 from typing import Iterable, Sequence
 
 from .errors import InputError
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+# rat() hands out these shared Fractions for small integers; a Fraction is
+# immutable, so a model's many small entries need not each be a new object.
+_SMALL = {i: Fraction(i) for i in range(-16, 17)}
+F0 = _SMALL[0]
+F1 = _SMALL[1]
 
-Vec = tuple  # tuple of Fraction
+Vec = tuple  # tuple of Fraction (evaluated vectors may hold ints where integral)
 
 
 def rat(x) -> Fraction:
@@ -33,12 +53,14 @@ def rat(x) -> Fraction:
     if isinstance(x, bool):
         raise InputError(f"cannot interpret bool {x!r} as a rational")
     if isinstance(x, int):
-        return Fraction(x)
+        f = _SMALL.get(x)
+        return Fraction(x) if f is None else f
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            f = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {x!r}: {exc}") from None
+        return _SMALL.get(f, f)
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
 
 
@@ -51,15 +73,13 @@ def zero_vec(n: int) -> Vec:
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vadd: lengths {len(a)} and {len(b)} differ")
+    return tuple(map(add, a, b))
 
 
 def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def vscale(c: Fraction, a: Vec) -> Vec:
@@ -72,10 +92,51 @@ def is_zero_vec(a: Vec) -> bool:
     return not any(a)
 
 
-class Matrix:
-    """Immutable dense matrix of Fractions, stored as row tuples."""
+def unit_vec(n: int, i: int) -> Vec:
+    """The i-th standard basis vector of length n, with int entries."""
+    return tuple(1 if j == i else 0 for j in range(n))
 
-    __slots__ = ("rows", "cols", "data")
+
+# --------------------------------------------------------------------------
+# The sparse kernel
+# --------------------------------------------------------------------------
+
+def sparse_vec(v) -> tuple:
+    """(index, coefficient) for each nonzero entry of v, the coefficient an
+    int where the entry is integral.  An all-zero v gives the shared ()."""
+    return tuple([(k, x) if x.__class__ is int else
+                  (k, x.numerator if x.denominator == 1 else x)
+                  for k, x in enumerate(v) if x])
+
+
+def _sparse(t) -> tuple:
+    if t and isinstance(t[0], tuple):
+        return tuple(_sparse(s) for s in t)
+    return sparse_vec(t)
+
+
+class Tensor(tuple):
+    """Structure constants as nested tuples with coordinate vectors at the
+    leaves (T[i][j] or T[i][j][k] is a Vec).  Equality, hash and repr are
+    those of the plain tuple.  `sparse` has the same nesting with every leaf
+    replaced by its `sparse_vec`, and is built on first use."""
+
+    @cached_property
+    def sparse(self) -> tuple:
+        return _sparse(self)
+
+
+def sparse_form(t) -> tuple:
+    """The sparse form of a tensor: kept on a Tensor, built afresh for a plain tuple."""
+    return t.sparse if isinstance(t, Tensor) else _sparse(t)
+
+
+class Matrix:
+    """Immutable dense matrix of Fractions, stored as row tuples.
+
+    The sparse form of the columns, used by `apply`, is built on first use."""
+
+    __slots__ = ("rows", "cols", "data", "_sparse_cols")
 
     def __init__(self, rows: int, cols: int, data):
         rows_t = tuple(tuple(x if x.__class__ is Fraction else rat(x) for x in row)
@@ -85,6 +146,7 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", rows_t)
+        object.__setattr__(self, "_sparse_cols", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -142,16 +204,19 @@ class Matrix:
     # -- algebra -----------------------------------------------------------
 
     def apply(self, v: Vec) -> Vec:
-        """Matrix-vector product, skipping zero coefficients."""
+        """Matrix-vector product over the sparse columns; ints where integral."""
         if len(v) != self.cols:
             raise InputError(f"vector length {len(v)} != cols {self.cols}")
-        out = [F0] * self.rows
+        cols = self._sparse_cols
+        if cols is None:
+            cols = tuple(sparse_vec(r[j] for r in self.data) for j in range(self.cols))
+            object.__setattr__(self, "_sparse_cols", cols)
+        out = [0] * self.rows
         for j, c in enumerate(v):
-            if not c:
-                continue
-            for i in range(self.rows):
-                a = self.data[i][j]
-                if a:
+            if c:
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
+                for i, a in cols[j]:
                     out[i] += a * c
         return tuple(out)
 

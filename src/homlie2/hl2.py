@@ -23,7 +23,14 @@ and a Jacobiator), `functor_S` goes back, and `check_hom_lie2` verifies the
 categorical laws directly in the (source, V1-part) model of arrows,
 including the hom-Jacobiator coherence diagram, which is evaluated stage by
 stage on basis 4-tuples with every intermediate object compared against the
-diagram's stated value.
+diagram's stated value; a failure names the stage that broke.
+
+Both scans run on the sparse integer kernel of `exactlin`: `bilinear_eval`,
+`trilinear_eval` and `Matrix.apply` walk only nonzero inputs against the
+sparse forms of the stored tensors, and the basis vectors the scans build
+(`basis0`, `basis1`, the object and arrow bases, identities) have int
+entries.  An integral structure is therefore checked entirely on Python
+ints, "int where integral"; the answers are those of Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -31,19 +38,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .exactlin import (F0, F1, Matrix, Vec, is_zero_vec, vadd, vneg, vec,
-                       zero_vec)
+from .exactlin import (F0, Matrix, Tensor, Vec, is_zero_vec, sparse_form, sparse_vec,
+                       unit_vec, vadd, vneg, vec, zero_vec)
 from .homlie import Tensor2, as_tensor2, bilinear_eval
 from .reports import CheckReport, LawChecker
 from .twovect import TwoVectorSpace, from_complex
 
-Tensor3 = tuple  # Tensor3[i][j][k] -> Vec
+Tensor3 = Tensor  # Tensor3[i][j][k] -> Vec
 
 
 def as_tensor3(data, n: int, out_dim: int, field: str) -> Tensor3:
     try:
-        t = tuple(tuple(tuple(vec(data[i][j][k]) for k in range(n)) for j in range(n))
-                  for i in range(n))
+        t = Tensor(tuple(tuple(vec(data[i][j][k]) for k in range(n)) for j in range(n))
+                   for i in range(n))
     except (IndexError, TypeError) as exc:
         raise InputError(f"{field}: expected a {n}^3 tensor of {out_dim}-vectors ({exc})")
     for i in range(n):
@@ -55,22 +62,26 @@ def as_tensor3(data, n: int, out_dim: int, field: str) -> Tensor3:
 
 
 def trilinear_eval(tensor: Tensor3, x: Vec, y: Vec, z: Vec, out_dim: int) -> Vec:
-    out = [F0] * out_dim
+    """Evaluate a trilinear tensor on the sparse kernel; ints where integral."""
+    out = [0] * out_dim
+    ys, zs = sparse_vec(y), sparse_vec(z)
+    if not ys or not zs:
+        return tuple(out)
+    sp = sparse_form(tensor)
     for i, a in enumerate(x):
-        if a == 0:
+        if not a:
             continue
-        ti = tensor[i]
-        for j, b in enumerate(y):
-            if b == 0:
-                continue
-            ab = a * b
+        if a.__class__ is not int and a.denominator == 1:
+            a = a.numerator
+        ti = sp[i]
+        for j, b in ys:
             tij = ti[j]
-            for k, c in enumerate(z):
-                if c == 0:
-                    continue
-                coef = ab * c
-                for idx, e in enumerate(tij[k]):
-                    if e != 0:
+            ab = a * b
+            for k, c in zs:
+                entry = tij[k]
+                if entry:
+                    coef = ab * c
+                    for idx, e in entry:
                         out[idx] += coef * e
     return tuple(out)
 
@@ -112,10 +123,10 @@ class TwoTermHL:
         return trilinear_eval(self.l3, x, y, z, self.dim1)
 
     def basis0(self, i: int) -> Vec:
-        return tuple(F1 if j == i else F0 for j in range(self.dim0))
+        return unit_vec(self.dim0, i)
 
     def basis1(self, a: int) -> Vec:
-        return tuple(F1 if b == a else F0 for b in range(self.dim1))
+        return unit_vec(self.dim1, a)
 
     def is_skeletal(self) -> bool:
         return self.d.is_zero()
@@ -127,7 +138,6 @@ class TwoTermHL:
 
 
 def _condition_j_sides(v: TwoTermHL, i, j, k, l, phi0_cols, phi0sq_cols):
-    w, x, y, z = (v.basis0(t) for t in (i, j, k, l))
     pw, px, py, pz = phi0_cols[i], phi0_cols[j], phi0_cols[k], phi0_cols[l]
     ppw, ppx, ppy, ppz = phi0sq_cols[i], phi0sq_cols[j], phi0sq_cols[k], phi0sq_cols[l]
     wx, wy, wz = v.l2_00[i][j], v.l2_00[i][k], v.l2_00[i][l]
@@ -150,7 +160,8 @@ def check_two_term(v: TwoTermHL) -> CheckReport:
     n0, n1 = v.dim0, v.dim1
     phi0_cols = [v.phi0.column(t) for t in range(n0)]
     phi1_cols = [v.phi1.column(t) for t in range(n1)]
-    phi0sq_cols = [(v.phi0 * v.phi0).column(t) for t in range(n0)]
+    phi0sq = v.phi0 * v.phi0
+    phi0sq_cols = [phi0sq.column(t) for t in range(n0)]
     chk = LawChecker("two_term_hl")
 
     chk.scan("(a)", (((i, j), v.l2_00[i][j] == vneg(v.l2_00[j][i]))
@@ -398,10 +409,10 @@ def functor_S(L: HomLie2Data) -> TwoTermHL:
     n0, n1 = tvs.dim0, tvs.dim1
 
     def e0(i):
-        return tuple(F1 if t == i else F0 for t in range(n0))
+        return unit_vec(n0, i)
 
     def e1(a):
-        return (zero_vec(n0), tuple(F1 if t == a else F0 for t in range(n1)))
+        return ((0,) * n0, unit_vec(n1, a))
 
     for i in range(n0):
         for a in range(n1):
@@ -430,7 +441,8 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
     n0, n1 = tvs.dim0, tvs.dim1
     nm = n0 + n1
     mor_basis = list(tvs.mor_basis())
-    obj_basis = [tuple(F1 if t == i else F0 for t in range(n0)) for i in range(n0)]
+    obj_basis = [unit_vec(n0, i) for i in range(n0)]
+    v1_basis = [unit_vec(n1, a) for a in range(n1)]
     phi0sq = L.Phi0 * L.Phi0
     chk = LawChecker("hom_lie2")
 
@@ -452,10 +464,7 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
 
     def interchange(i, a, ap, j, b, bp):
         x, y = obj_basis[i], obj_basis[j]
-        m = tuple(F1 if t == a else F0 for t in range(n1))
-        mp = tuple(F1 if t == ap else F0 for t in range(n1))
-        n = tuple(F1 if t == b else F0 for t in range(n1))
-        np_ = tuple(F1 if t == bp else F0 for t in range(n1))
+        m, mp, n, np_ = v1_basis[a], v1_basis[ap], v1_basis[b], v1_basis[bp]
         lhs = L.b_mor((x, vadd(m, mp)), (y, vadd(n, np_)))
         first = L.b_mor((x, m), (y, n))
         second = L.b_mor((vadd(x, tvs.d.apply(m)), mp), (vadd(y, tvs.d.apply(n)), np_))
@@ -521,22 +530,33 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
                                        for p in range(nm) for q in range(nm)
                                        for r in range(nm)))
 
-    def hom_jacobiator(i, j, k, l):
-        return _jacobiator_identity_holds(L, obj_basis, phi0sq, i, j, k, l)
+    broken = []
 
-    chk.scan("hom-jacobiator", (((i, j, k, l), hom_jacobiator(i, j, k, l))
-                                for i in range(n0) for j in range(n0)
-                                for k in range(n0) for l in range(n0)),
-             note="coherence diagram, both composites compared stagewise")
+    def hom_jacobiator(i, j, k, l):
+        stage = _jacobiator_broken_stage(L, obj_basis, phi0sq, i, j, k, l)
+        if stage is not None:
+            broken.append(stage)
+        return stage is None
+
+    note = "coherence diagram, both composites compared stagewise"
+    if not chk.scan("hom-jacobiator", (((i, j, k, l), hom_jacobiator(i, j, k, l))
+                                       for i in range(n0) for j in range(n0)
+                                       for k in range(n0) for l in range(n0)),
+                    note=note):
+        chk.amend_note(f"{note}; broke at stage {broken[-1]}")
     return chk.report()
 
 
-def _jacobiator_identity_holds(L: HomLie2Data, obj_basis, phi0sq, i, j, k, l) -> bool:
+def _jacobiator_broken_stage(L: HomLie2Data, obj_basis, phi0sq, i, j, k, l) -> str | None:
     """Evaluate both composite arrows of the coherence diagram at a basis
-    4-tuple and compare them as (source, V1-part) pairs.
+    4-tuple and compare them as (source, V1-part) pairs; return the name of
+    the first stage that breaks, or None when the diagram commutes.
 
     Every intermediate object is compared against the value the diagram
     prescribes; '+1' summands are identities and contribute no V1-part.
+    The stages, in order: the targets of the left composite's arrows (top,
+    n2, n3), the right composite's source and targets (r1-source, r1, r2,
+    r3/r4), and the final comparison of the two V1-parts (final).
     """
     tvs = L.tvs
     B, PHI = L.b_obj, L.phi_obj
@@ -557,13 +577,13 @@ def _jacobiator_identity_holds(L: HomLie2Data, obj_basis, phi0sq, i, j, k, l) ->
     src = p1[0]
     top = vadd(B(PHI(wx), B(PHI(y), PHI(z))), B(B(wx, PHI(z)), PHI2(y)))
     if vadd(src, dmul(p1[1])) != top:
-        return False
+        return "top"
     n2 = L.b_mor(L.jac_mor(w, x, z), tvs.ident(PHI2(y)))
     m_obj = add3(B(PHI(wx), B(PHI(y), PHI(z))),
                  B(B(PHI(w), xz), PHI2(y)),
                  B(B(wz, PHI(x)), PHI2(y)))
     if vadd(top, dmul(n2[1])) != m_obj:
-        return False
+        return "n2"
     n3a = L.jac_mor(PHI(w), xz, PHI(y))
     n3b = L.jac_mor(wz, PHI(x), PHI(y))
     q_obj = add3(B(PHI(wx), B(PHI(y), PHI(z))),
@@ -572,16 +592,16 @@ def _jacobiator_identity_holds(L: HomLie2Data, obj_basis, phi0sq, i, j, k, l) ->
                  B(PHI(wz), B(PHI(x), PHI(y))),
                  B(B(wz, PHI(y)), PHI2(x)))
     if add3(m_obj, dmul(n3a[1]), dmul(n3b[1])) != q_obj:
-        return False
+        return "n3"
     lhs_m = add3(p1[1], n2[1], n3a[1], n3b[1])
 
     # ---- right/bottom composite ---------------------------------------------
     r1 = L.b_mor(L.jac_mor(w, x, y), tvs.ident(PHI2(z)))
     if r1[0] != src:
-        return False
+        return "r1-source"
     left_mid = vadd(B(B(PHI(w), xy), PHI2(z)), B(B(wy, PHI(x)), PHI2(z)))
     if vadd(src, dmul(r1[1])) != left_mid:
-        return False
+        return "r1"
     r2a = L.jac_mor(PHI(w), xy, PHI(z))
     r2b = L.jac_mor(wy, PHI(x), PHI(z))
     p_obj = add3(B(PHI2(w), B(xy, PHI(z))),
@@ -589,14 +609,14 @@ def _jacobiator_identity_holds(L: HomLie2Data, obj_basis, phi0sq, i, j, k, l) ->
                  B(PHI(wy), B(PHI(x), PHI(z))),
                  B(B(wy, PHI(z)), PHI2(x)))
     if add3(left_mid, dmul(r2a[1]), dmul(r2b[1])) != p_obj:
-        return False
+        return "r2"
     r3a = L.b_mor(tvs.ident(PHI2(w)), L.jac_mor(x, y, z))
     r3b = L.b_mor(L.jac_mor(w, y, z), tvs.ident(PHI2(x)))
     r4 = L.jac_mor(PHI(w), yz, PHI(x))
     if add3(p_obj, dmul(r3a[1]), dmul(r3b[1]), dmul(r4[1])) != q_obj:
-        return False
+        return "r3/r4"
     rhs_m = add3(r1[1], r2a[1], r2b[1], r3a[1], r3b[1], r4[1])
-    return lhs_m == rhs_m
+    return None if lhs_m == rhs_m else "final"
 
 
 def roundtrip_check(obj) -> CheckReport:

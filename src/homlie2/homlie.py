@@ -15,16 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .exactlin import (F0, Matrix, Vec, is_zero_vec, rat, vadd, vec, zero_vec)
+from .exactlin import (Matrix, Tensor, Vec, is_zero_vec, sparse_form, sparse_vec,
+                       unit_vec, vadd, vec, zero_vec)
 from .reports import CheckReport, LawChecker
 
-Tensor2 = tuple  # Tensor2[i][j] -> Vec
+Tensor2 = Tensor  # Tensor2[i][j] -> Vec
 
 
 def as_tensor2(data, n0: int, n1: int, out_dim: int, field: str) -> Tensor2:
     """Coerce nested data to a (n0 x n1 -> out_dim) structure-constant tensor."""
     try:
-        t = tuple(tuple(vec(data[i][j]) for j in range(n1)) for i in range(n0))
+        t = Tensor(tuple(vec(data[i][j]) for j in range(n1)) for i in range(n0))
     except (IndexError, TypeError) as exc:
         raise InputError(f"{field}: expected a {n0}x{n1} tensor of {out_dim}-vectors ({exc})")
     for i in range(n0):
@@ -35,20 +36,26 @@ def as_tensor2(data, n0: int, n1: int, out_dim: int, field: str) -> Tensor2:
 
 
 def bilinear_eval(tensor: Tensor2, x: Vec, y: Vec, out_dim: int) -> Vec:
-    """Evaluate a structure-constant tensor at coordinate vectors (zero-skipping)."""
-    out = [F0] * out_dim
+    """Evaluate a structure-constant tensor at coordinate vectors.
+
+    Walks the nonzero entries of x and y against the tensor's sparse form
+    (see `exactlin`); the result holds ints where it is integral."""
+    out = [0] * out_dim
+    ys = sparse_vec(y)
+    if not ys:
+        return tuple(out)
+    sp = sparse_form(tensor)
     for i, a in enumerate(x):
-        if a == 0:
-            continue
-        row = tensor[i]
-        for j, b in enumerate(y):
-            if b == 0:
-                continue
-            c = a * b
-            entry = row[j]
-            for k, e in enumerate(entry):
-                if e != 0:
-                    out[k] += c * e
+        if a:
+            if a.__class__ is not int and a.denominator == 1:
+                a = a.numerator
+            row = sp[i]
+            for j, b in ys:
+                entry = row[j]
+                if entry:
+                    c = a * b
+                    for k, e in entry:
+                        out[k] += c * e
     return tuple(out)
 
 
@@ -67,7 +74,7 @@ class HomLieAlgebra:
             raise InputError(f"phi must be {n}x{n}, got {self.phi.shape()}")
 
     def basis(self, i: int) -> Vec:
-        return tuple(F0 if j != i else rat(1) for j in range(self.dim))
+        return unit_vec(self.dim, i)
 
     def bracket_vec(self, x: Vec, y: Vec) -> Vec:
         return bilinear_eval(self.bracket, x, y, self.dim)

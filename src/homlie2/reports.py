@@ -8,7 +8,7 @@ consume them programmatically; rendering to text or JSON lives here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import CheckFailure
 
@@ -116,6 +116,10 @@ class LawChecker:
                 return False
         self._items.append(CheckItem(law, True, None, note))
         return True
+
+    def amend_note(self, note: str) -> None:
+        """Replace the note of the item added last, e.g. to say where a scan broke."""
+        self._items[-1] = replace(self._items[-1], note=note)
 
     def report(self) -> CheckReport:
         return CheckReport(self.subject, tuple(self._items))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .exactlin import F0, F1, Matrix, Vec, rank_and_kernel, vadd, zero_vec
+from .exactlin import F0, F1, Matrix, Vec, rank_and_kernel, unit_vec, vadd
 from .reports import CheckReport, LawChecker
 
 Morphism = tuple  # (Vec over V0, Vec over V1)
@@ -40,7 +40,7 @@ class TwoVectorSpace:
         return vadd(mor[0], self.d.apply(mor[1]))
 
     def ident(self, obj: Vec) -> Morphism:
-        return (tuple(obj), zero_vec(self.dim1))
+        return (tuple(obj), (0,) * self.dim1)
 
     def compose(self, first: Morphism, second: Morphism) -> Morphism:
         """Vertical composition; the morphisms must abut exactly."""
@@ -56,8 +56,7 @@ class TwoVectorSpace:
 
     def mor_basis(self):
         for p in range(self.dim0 + self.dim1):
-            unit = tuple(F1 if q == p else F0 for q in range(self.dim0 + self.dim1))
-            yield self.mor_from_coords(unit)
+            yield self.mor_from_coords(unit_vec(self.dim0 + self.dim1, p))
 
 
 def from_complex(d: Matrix) -> TwoVectorSpace:

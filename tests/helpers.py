@@ -18,7 +18,9 @@ from homlie2.cohomology import (Cochain, Representation, adjoint_representation,
                                 zero_cochain)
 from homlie2.constructions import sl2_example
 from homlie2.errors import PreconditionError
-from homlie2.exactlin import F0, F1, Matrix, Vec, det_of, rank, rank_and_kernel, rat
+from homlie2.exactlin import (F0, F1, Matrix, Vec, det_of, inverse, rank, rank_and_kernel,
+                              rat)
+from homlie2.hl2 import HLMorphism, TwoTermHL
 from homlie2.homlie import HomLieAlgebra, abelian_algebra
 
 
@@ -41,7 +43,6 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
 
 
 def random_involution(rng: random.Random, n: int) -> Matrix:
-    from homlie2.exactlin import inverse
     s = random_invertible(rng, n)
     d = Matrix.diagonal([rng.choice((1, -1)) for _ in range(n)])
     return s * d * inverse(s)
@@ -271,3 +272,77 @@ def reference_inverse(m: Matrix) -> Matrix | None:
     if len(reference_rref(rows, n)) != n:
         return None
     return Matrix(n, n, [r[n:] for r in rows])
+
+
+# --------------------------------------------------------------------------
+# Reference tensor evaluation: dense loops over Fractions, every entry
+# visited and tested against zero.  The sparse integer kernel in exactlin
+# must give equal (==) results.
+# --------------------------------------------------------------------------
+
+def reference_bilinear_eval(tensor, x, y, out_dim: int) -> Vec:
+    out = [F0] * out_dim
+    for i, a in enumerate(x):
+        if a == 0:
+            continue
+        row = tensor[i]
+        for j, b in enumerate(y):
+            if b == 0:
+                continue
+            c = a * b
+            entry = row[j]
+            for k, e in enumerate(entry):
+                if e != 0:
+                    out[k] += c * e
+    return tuple(out)
+
+
+def reference_trilinear_eval(tensor, x, y, z, out_dim: int) -> Vec:
+    out = [F0] * out_dim
+    for i, a in enumerate(x):
+        if a == 0:
+            continue
+        ti = tensor[i]
+        for j, b in enumerate(y):
+            if b == 0:
+                continue
+            ab = a * b
+            tij = ti[j]
+            for k, c in enumerate(z):
+                if c == 0:
+                    continue
+                coef = ab * c
+                for idx, e in enumerate(tij[k]):
+                    if e != 0:
+                        out[idx] += coef * e
+    return tuple(out)
+
+
+def reference_apply(m: Matrix, v) -> Vec:
+    out = [F0] * m.rows
+    for j, c in enumerate(v):
+        if not c:
+            continue
+        for i in range(m.rows):
+            a = m.data[i][j]
+            if a:
+                out[i] += a * c
+    return tuple(out)
+
+
+def transport_two_term(v, p0: Matrix, p1: Matrix):
+    """Carry v along the change of basis (p0, p1), using the reference
+    evaluators only.  Returns (w, the morphism (p0, p1, f2 = 0) from v to w)."""
+    n0, n1 = v.dim0, v.dim1
+    q0, q1 = inverse(p0), inverse(p1)
+    q0c, q1c = q0.columns(), q1.columns()
+    l2_00 = [[reference_apply(p0, reference_bilinear_eval(v.l2_00, q0c[i], q0c[j], n0))
+              for j in range(n0)] for i in range(n0)]
+    l2_01 = [[reference_apply(p1, reference_bilinear_eval(v.l2_01, q0c[i], q1c[a], n1))
+              for a in range(n1)] for i in range(n0)]
+    l3 = [[[reference_apply(p1, reference_trilinear_eval(v.l3, q0c[i], q0c[j], q0c[k], n1))
+            for k in range(n0)] for j in range(n0)] for i in range(n0)]
+    w = TwoTermHL(n0, n1, p0 * v.d * q1, l2_00, l2_01, l3,
+                  p0 * v.phi0 * q0, p1 * v.phi1 * q1)
+    zero_f2 = [[[0] * n1 for _ in range(n0)] for _ in range(n0)]
+    return w, HLMorphism(v, w, p0, p1, zero_f2)

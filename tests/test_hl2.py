@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import random_invertible, transport_two_term
 from homlie2.cohomology import (Representation, check_representation,
                                 coboundary, cochain_from_function)
 from homlie2.constructions import sl2_example, string_from_semisimple
 from homlie2.errors import CheckFailure, InputError
-from homlie2.exactlin import Matrix
+from homlie2.exactlin import Matrix, inverse
 from homlie2.hl2 import (HLMorphism, TwoTermHL, check_hl_morphism,
                          check_hom_lie2, check_two_term, compose_hl_morphisms,
                          functor_S, functor_T, identity_hl_morphism,
@@ -247,3 +248,74 @@ def test_strict_structure_has_identity_jacobiator():
                 jm = L.jac_mor(e(i), e(j), e(k))
                 assert jm[1] == (F(0),) * 3
                 assert L.tvs.target(jm) == L.tvs.source(jm)
+
+
+# -- where the coherence diagram breaks -----------------------------------------
+
+def identity_complex(g):
+    """g -Id-> g with l2 the bracket on both components, l3 = 0."""
+    return TwoTermHL(g.dim, g.dim, Matrix.identity(g.dim), g.bracket, g.bracket,
+                     zero_l3(g.dim, g.dim), g.phi, g.phi)
+
+
+@pytest.mark.parametrize("make, entry, stage", [
+    (lambda: string_from_semisimple(sl2_example()), (0, 1, 2, 0), "final"),
+    (lambda: identity_complex(sl2_example()), (0, 1, 2, 0), "n2"),
+    (lambda: identity_complex(sl2_example()), (2, 0, 1, 0), "n3"),
+    (lambda: identity_complex(sl2_example()), (2, 2, 2, 1), "top"),
+])
+def test_hom_jacobiator_names_the_broken_stage(make, entry, stage):
+    v = make()
+    good = check_hom_lie2(functor_T(v)).item("hom-jacobiator")
+    assert good.passed
+    assert good.note == "coherence diagram, both composites compared stagewise"
+    item = check_hom_lie2(functor_T(replace_l3(v, *entry))).item("hom-jacobiator")
+    assert not item.passed
+    assert item.note == f"{good.note}; broke at stage {stage}"
+
+
+# -- metamorphic: change of basis ---------------------------------------------------
+
+def verdicts(report):
+    return [(item.law, item.passed) for item in report.items]
+
+
+TRANSPORTED = [
+    lambda: string_from_semisimple(sl2_example()),
+    lambda: shift_strict(sl2_example()),
+]
+
+
+@pytest.mark.parametrize("make", TRANSPORTED)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_transport_preserves_every_verdict(make, seed):
+    """Carried along a random change of basis (p0, p1), every law keeps its
+    verdict, and (p0, p1, 0) is a morphism whose inverse composes to the identity."""
+    v = make()
+    rng = random.Random(seed)
+    p0, p1 = random_invertible(rng, v.dim0), random_invertible(rng, v.dim1)
+    w, m = transport_two_term(v, p0, p1)
+    assert w != v
+    assert verdicts(check_two_term(w)) == verdicts(check_two_term(v))
+    assert verdicts(check_hom_lie2(functor_T(w))) == verdicts(check_hom_lie2(functor_T(v)))
+    assert check_hl_morphism(m).ok
+    back = HLMorphism(w, v, inverse(p0), inverse(p1), zero_t2(v.dim0, v.dim0, v.dim1))
+    assert check_hl_morphism(back).ok
+    assert compose_hl_morphisms(m, back) == identity_hl_morphism(v)
+
+
+@pytest.mark.parametrize("make", TRANSPORTED)
+@pytest.mark.parametrize("entry", [(0, 1, 2, 0), (0, 0, 1, 0), (2, 1, 0, 0)])
+def test_l3_perturbations_are_linear(make, entry):
+    """Every law is linear in l3 and holds at the transported structure, so a
+    perturbation by +1/2 fails each law exactly where +1 does.  The transport
+    is integral, so +1/2 runs the mixed int/Fraction path of the kernel."""
+    v = make()
+    w, _ = transport_two_term(v, random_invertible(random.Random(3), v.dim0),
+                              random_invertible(random.Random(4), v.dim1))
+    half, one = replace_l3(w, *entry, F(1, 2)), replace_l3(w, *entry, 1)
+    assert check_two_term(half).as_dict() == check_two_term(one).as_dict()
+    assert not check_two_term(half).ok
+    assert check_hom_lie2(functor_T(half)).as_dict() == \
+        check_hom_lie2(functor_T(one)).as_dict()
+    assert not check_hom_lie2(functor_T(half)).ok

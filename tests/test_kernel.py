@@ -1,0 +1,151 @@
+"""The sparse integer evaluation kernel against the dense Fraction reference.
+
+`bilinear_eval`, `trilinear_eval` and `Matrix.apply` must return vectors
+equal (==) to the reference loops in `tests/helpers.py`, holding only ints
+and Fractions, never a float; and every structure the constructors build
+must still hold only Fractions.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_apply, reference_bilinear_eval, reference_trilinear_eval
+from homlie2.constructions import sl2_example, strict_to_crossed, string_from_semisimple
+from homlie2.exactlin import F0, F1, Matrix, Tensor, rat, sparse_vec
+from homlie2.hl2 import (HLMorphism, TwoTermHL, as_tensor3, compose_hl_morphisms,
+                         functor_S, functor_T, identity_hl_morphism, trilinear_eval)
+from homlie2.homlie import as_tensor2, bilinear_eval
+
+F = Fraction
+
+# zero, integral and non-integral entries with denominators up to 7
+NONZERO = sorted({F(p, q) for p in range(-6, 7) for q in range(1, 8)} - {0})
+entries = st.one_of(st.sampled_from(NONZERO), st.just(F(0)))
+dims = st.integers(0, 4)
+
+
+@st.composite
+def vectors(draw, n):
+    """A dense, unit or zero rational vector of length n."""
+    kind = draw(st.sampled_from(("dense", "unit", "zero")))
+    if kind == "zero" or n == 0:
+        return (F0,) * n
+    if kind == "unit":
+        i = draw(st.integers(0, n - 1))
+        return tuple(F1 if t == i else F0 for t in range(n))
+    return tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+
+
+def nested(draw, shape):
+    if len(shape) == 1:
+        return draw(st.lists(entries, min_size=shape[0], max_size=shape[0]))
+    return [nested(draw, shape[1:]) for _ in range(shape[0])]
+
+
+def assert_exact(got, want):
+    assert got == want
+    assert all(type(x) in (int, Fraction) for x in got)
+
+
+@given(st.data(), dims, dims, dims)
+@settings(max_examples=150, deadline=None)
+def test_bilinear_matches_reference(data, n0, n1, out):
+    x, y = data.draw(vectors(n0)), data.draw(vectors(n1))
+    t = as_tensor2(nested(data.draw, (n0, n1, out)), n0, n1, out, "t")
+    want = reference_bilinear_eval(t, x, y, out)
+    assert_exact(bilinear_eval(t, x, y, out), want)
+    # a plain nested tuple is evaluated too, without a kept sparse form
+    assert_exact(bilinear_eval(tuple(t), x, y, out), want)
+
+
+@given(st.data(), dims, dims)
+@settings(max_examples=150, deadline=None)
+def test_trilinear_matches_reference(data, n, out):
+    x, y, z = (data.draw(vectors(n)) for _ in range(3))
+    t = as_tensor3(nested(data.draw, (n, n, n, out)), n, out, "t")
+    assert_exact(trilinear_eval(t, x, y, z, out), reference_trilinear_eval(t, x, y, z, out))
+
+
+@given(st.data(), dims, dims)
+@settings(max_examples=150, deadline=None)
+def test_apply_matches_reference(data, rows, cols):
+    v = data.draw(vectors(cols))
+    m = Matrix(rows, cols, nested(data.draw, (rows, cols)) if rows else [])
+    assert_exact(m.apply(v), reference_apply(m, v))
+    # a second call runs on the kept sparse columns
+    assert_exact(m.apply(v), reference_apply(m, v))
+
+
+def test_int_inputs_give_int_results():
+    m = Matrix(2, 2, [[1, 2], [0, F(1, 2)]])
+    assert m.apply((3, 0)) == (3, 0) and all(type(x) is int for x in m.apply((3, 0)))
+    assert m.apply((0, 2)) == (4, 1)
+    assert type(m.apply((0, 2))[0]) is int
+
+
+def test_sparse_vec_is_int_where_integral():
+    assert sparse_vec((F0, F(3), F(1, 2), 0, -2)) == ((1, 3), (2, F(1, 2)), (4, -2))
+    assert type(sparse_vec((F(3),))[0][1]) is int
+    assert sparse_vec((F0, F0)) == ()
+
+
+def test_tensor_behaves_as_its_tuple():
+    plain = (((F1, F0), (F0, F0)),)
+    t = Tensor(plain)
+    assert t == plain and hash(t) == hash(plain) and repr(t) == repr(plain)
+    assert t.sparse == ((((0, 1),), ()),)
+    assert t.sparse is t.sparse
+
+
+def test_rat_shares_small_integers():
+    assert rat(3) is rat("3") is rat("6/2")
+    assert rat(0) is F0 and rat(1) is F1
+    assert rat(17) == F(17) and rat("-16") is rat(-16)
+    assert Matrix(1, 2, [[2, "1/2"]]).data == ((F(2), F(1, 2)),)
+
+
+# --------------------------------------------------------------------------
+# Stored structures stay all-Fraction
+# --------------------------------------------------------------------------
+
+def leaves(obj):
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if not isinstance(value, int):   # dimensions
+                yield from leaves(value)
+    elif isinstance(obj, Matrix):
+        for row in obj.data:
+            yield from row
+    elif isinstance(obj, tuple):
+        for x in obj:
+            yield from leaves(x)
+    else:
+        yield obj
+
+
+def assert_all_fraction(obj):
+    found = list(leaves(obj))
+    assert found and all(type(x) is Fraction for x in found)
+
+
+def test_built_structures_hold_only_fractions():
+    v = string_from_semisimple(sl2_example())
+    assert_all_fraction(v)
+    L = functor_T(v)
+    assert_all_fraction(L)
+    assert_all_fraction(functor_S(L))
+    phi_endo = HLMorphism(v, v, v.phi0, Matrix.identity(1),
+                          [[[0] for _ in range(3)] for _ in range(3)])
+    assert_all_fraction(compose_hl_morphisms(phi_endo, phi_endo))
+    assert_all_fraction(compose_hl_morphisms(identity_hl_morphism(v), phi_endo))
+
+    g = sl2_example()
+    zero_l3 = [[[[0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    shift = functor_S(functor_T(
+        TwoTermHL(3, 3, Matrix.zeros(3, 3), g.bracket, g.bracket, zero_l3, g.phi, g.phi)))
+    assert_all_fraction(shift)
+    assert_all_fraction(strict_to_crossed(shift))
