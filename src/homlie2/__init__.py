@@ -6,6 +6,8 @@ categorical presentations, and the constructions linking them (quadratic,
 string-type, crossed modules, left-symmetric products, symplectic forms).
 """
 
+from types import ModuleType as _ModuleType
+
 from .cohomology import (Cochain, Representation, adjoint_representation,
                          check_representation, class_is_trivial, coboundary,
                          coboundary_matrix, cohomology_dims,
@@ -31,6 +33,7 @@ from .homlie import (HomLieAlgebra, HomLieMorphism, abelian_algebra,
 from .modelfile import (LeftSymmetricFile, ModelError, load_model, parse_model,
                         save_model, serialize_model)
 from .reports import CheckItem, CheckReport
-from .twovect import TwoVectorSpace, check_linear_functor, end_dgla_check, from_complex
+from .twovect import TwoVectorSpace, check_linear_functor, from_complex
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -61,11 +61,13 @@ class Representation:
 
     def rho_at(self, x: Vec) -> Matrix:
         """rho evaluated at a coordinate vector."""
-        out = Matrix.zeros(self.module_dim, self.module_dim)
-        for i, c in enumerate(x):
-            if c != 0:
-                out = out + self.rho[i].scale(c)
-        return out
+        m = self.module_dim
+        out = [[0] * m for _ in range(m)]
+        for c, r in zip(x, self.rho):
+            if c:
+                for row, src in zip(out, r.data):
+                    row[:] = [a + c * e if e else a for a, e in zip(row, src)]
+        return Matrix(m, m, out)
 
 
 def check_representation(r: Representation) -> CheckReport:
@@ -96,25 +98,13 @@ def adjoint_representation(g: HomLieAlgebra) -> Representation:
 def dual_representation(r: Representation) -> Representation | None:
     """The contragredient action rho*(x) = −rho(x)^T with twist A^T, when it exists.
 
-    First gate: A∘rho([x,y]) = rho(x)∘rho(phi y) − rho(y)∘rho(phi x) on all
-    basis pairs.  The candidate is returned only if it passes the full
-    representation check (for involutive phi the first gate suffices).
+    Returned only if it passes the full representation check, whose
+    bracket-action law is the transpose of the pairing condition
+    A∘rho([x,y]) = rho(x)∘rho(phi y) − rho(y)∘rho(phi x).
     """
-    g, A = r.algebra, r.A
-    phi_cols = [g.phi.column(j) for j in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(g.dim):
-            lhs = A * r.rho_at(g.bracket[i][j])
-            rhs = r.rho[i] * r.rho_at(phi_cols[j]) - r.rho[j] * r.rho_at(phi_cols[i])
-            if lhs != rhs:
-                return None
-    candidate = Representation(g, r.module_dim, A.transpose(),
+    candidate = Representation(r.algebra, r.module_dim, r.A.transpose(),
                                tuple(-(m.transpose()) for m in r.rho))
-    if not check_representation(candidate).ok:
-        return None
-    return candidate
-
-
+    return candidate if check_representation(candidate).ok else None
 
 
 # --------------------------------------------------------------------------

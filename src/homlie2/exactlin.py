@@ -253,10 +253,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
 
-    def scale(self, c) -> "Matrix":
-        c = rat(c)
-        return Matrix(self.rows, self.cols, [[c * a for a in r] for r in self.data])
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -291,11 +287,6 @@ class Matrix:
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
-
-    def is_skew(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == -self.data[j][i]
-            for i in range(self.rows) for j in range(i, self.cols))
 
     def _same_shape(self, other: "Matrix"):
         if self.shape() != other.shape():

@@ -630,22 +630,15 @@ def roundtrip_check(obj) -> CheckReport:
     chk = LawChecker("roundtrip")
     if isinstance(obj, TwoTermHL):
         L = functor_T(obj)
-        back = functor_S(L)
-        chk.add("beta-identity", back == obj,
+        v = functor_S(L)
+        chk.add("beta-identity", v == obj,
                 note="extract-after-present returns the same tensors")
     elif isinstance(obj, HomLie2Data):
         L = obj
+        v = functor_S(L)
     else:
         raise InputError("roundtrip_check expects a TwoTermHL or HomLie2Data")
-    _alpha_items(L, chk)
-    return chk.report()
-
-
-def _alpha_items(L: HomLie2Data, chk: LawChecker) -> None:
-    tvs = L.tvs
-    n0, n1 = tvs.dim0, tvs.dim1
-    nm = n0 + n1
-    v = functor_S(L)
+    nm = L.tvs.dim0 + L.tvs.dim1
     expected = functor_T(v)
     chk.scan("alpha-bracket",
              (((p, q), L.bracket_mor[p][q] == expected.bracket_mor[p][q])
@@ -653,3 +646,4 @@ def _alpha_items(L: HomLie2Data, chk: LawChecker) -> None:
              note="stored bracket equals the one induced by its own l2 parts")
     chk.add("alpha-phi", L.Phi1 == expected.Phi1,
             note="twist functor is block-diagonal over (objects, Ker s)")
+    return chk.report()

@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from homlie2.cohomology import (Cochain, Representation, adjoint_representation,
-                                hom_cochain_basis, trivial_representation,
-                                zero_cochain)
+                                check_representation, hom_cochain_basis,
+                                trivial_representation, zero_cochain)
 from homlie2.constructions import sl2_example
 from homlie2.errors import PreconditionError
 from homlie2.exactlin import (F0, F1, Matrix, Vec, det_of, inverse, rank, rank_and_kernel,
@@ -346,3 +346,63 @@ def transport_two_term(v, p0: Matrix, p1: Matrix):
                   p0 * v.phi0 * q0, p1 * v.phi1 * q1)
     zero_f2 = [[[0] * n1 for _ in range(n0)] for _ in range(n0)]
     return w, HLMorphism(v, w, p0, p1, zero_f2)
+
+
+# --------------------------------------------------------------------------
+# Reference representations and forms: dense Fraction loops over every
+# entry, and the dual's pairing gate run before its full candidate check.
+# `rho_at` must agree repr for repr, `pair` and `act` by ==, and
+# `dual_representation` must return None on exactly the same inputs.
+# --------------------------------------------------------------------------
+
+def reference_rho_at(r: Representation, x) -> Matrix:
+    m = r.module_dim
+    out = Matrix.zeros(m, m)
+    for i, c in enumerate(x):
+        if c != 0:
+            c = rat(c)
+            out = out + Matrix(m, m, [[c * a for a in row] for row in r.rho[i].data])
+    return out
+
+
+def reference_pair(B: Matrix, x, y) -> Fraction:
+    total = F0
+    for i, a in enumerate(x):
+        if a == 0:
+            continue
+        row = B.data[i]
+        for j, b in enumerate(y):
+            if b != 0 and row[j] != 0:
+                total += a * row[j] * b
+    return total
+
+
+def reference_act(cm, x, m) -> Vec:
+    out = (F0,) * cm.h.dim
+    for i, c in enumerate(x):
+        if c != 0:
+            term = reference_apply(cm.action[i], m)
+            out = tuple(a + c * t for a, t in zip(out, term))
+    return out
+
+
+def reference_dual_gate(r: Representation) -> bool:
+    """A∘rho([x,y]) = rho(x)∘rho(phi y) − rho(y)∘rho(phi x) on all basis pairs."""
+    g, A = r.algebra, r.A
+    phi_cols = [g.phi.column(j) for j in range(g.dim)]
+    for i in range(g.dim):
+        for j in range(g.dim):
+            lhs = A * reference_rho_at(r, g.bracket[i][j])
+            rhs = (r.rho[i] * reference_rho_at(r, phi_cols[j])
+                   - r.rho[j] * reference_rho_at(r, phi_cols[i]))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def reference_dual_representation(r: Representation) -> Representation | None:
+    if not reference_dual_gate(r):
+        return None
+    candidate = Representation(r.algebra, r.module_dim, r.A.transpose(),
+                               tuple(-(m.transpose()) for m in r.rho))
+    return candidate if check_representation(candidate).ok else None

@@ -2,18 +2,27 @@
 
 `bilinear_eval`, `trilinear_eval` and `Matrix.apply` must return vectors
 equal (==) to the reference loops in `tests/helpers.py`, holding only ints
-and Fractions, never a float; and every structure the constructors build
-must still hold only Fractions.
+and Fractions, never a float; so must the evaluators built on them
+(`Representation.rho_at`, `CrossedModule.act`, the form pairing), and
+`dual_representation` must give what its old pairing gate gave.  Every
+structure the constructors build must still hold only Fractions.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_apply, reference_bilinear_eval, reference_trilinear_eval
-from homlie2.constructions import sl2_example, strict_to_crossed, string_from_semisimple
+from helpers import (random_algebra, random_representation, reference_act,
+                     reference_apply, reference_bilinear_eval, reference_dual_gate,
+                     reference_dual_representation, reference_pair, reference_rho_at,
+                     reference_trilinear_eval)
+from homlie2.cohomology import Representation, dual_representation
+from homlie2.constructions import (CrossedModule, _pair, l3_from_B, quadratic,
+                                   sl2_example, strict_to_crossed, string_from_semisimple)
+from homlie2.homlie import abelian_algebra, killing_form
 from homlie2.exactlin import F0, F1, Matrix, Tensor, rat, sparse_vec
 from homlie2.hl2 import (HLMorphism, TwoTermHL, as_tensor3, compose_hl_morphisms,
                          functor_S, functor_T, identity_hl_morphism, trilinear_eval)
@@ -77,6 +86,72 @@ def test_apply_matches_reference(data, rows, cols):
     assert_exact(m.apply(v), reference_apply(m, v))
     # a second call runs on the kept sparse columns
     assert_exact(m.apply(v), reference_apply(m, v))
+
+
+def random_matrix(draw, rows, cols):
+    return Matrix(rows, cols, nested(draw, (rows, cols)) if rows else [])
+
+
+@given(st.data(), st.integers(0, 2 ** 32))
+@settings(max_examples=150, deadline=None)
+def test_rho_at_matches_reference(data, seed):
+    rng = random.Random(seed)
+    g = random_algebra(rng)
+    r = random_representation(rng, g)
+    if data.draw(st.booleans()):  # an arbitrary action, valid or not
+        m = r.module_dim
+        r = Representation(g, m, r.A, tuple(random_matrix(data.draw, m, m) for _ in range(g.dim)))
+    x = data.draw(vectors(g.dim))
+    assert repr(r.rho_at(x)) == repr(reference_rho_at(r, x))
+    assert all(type(a) is Fraction for row in r.rho_at(x).data for a in row)
+
+
+@given(st.data(), dims)
+@settings(max_examples=150, deadline=None)
+def test_pair_matches_reference(data, n):
+    B = random_matrix(data.draw, n, n)
+    x, y = data.draw(vectors(n)), data.draw(vectors(n))
+    got = _pair(B, x, y)
+    assert got == reference_pair(B, x, y) and type(got) is Fraction
+
+
+@given(st.data(), st.integers(0, 2 ** 32))
+@settings(max_examples=150, deadline=None)
+def test_act_matches_reference(data, seed):
+    rng = random.Random(seed)
+    h, g = random_algebra(rng), random_algebra(rng)
+    cm = CrossedModule(h, g, random_matrix(data.draw, g.dim, h.dim),
+                       tuple(random_matrix(data.draw, h.dim, h.dim) for _ in range(g.dim)))
+    x, m = data.draw(vectors(g.dim)), data.draw(vectors(h.dim))
+    assert_exact(cm.act(x, m), reference_act(cm, x, m))
+
+
+def _dual_candidates(rng):
+    """Representations whose duals exist, fail the pairing gate, or pass the
+    gate and fail twist-compatibility (abelian, one square-zero action)."""
+    for _ in range(100):
+        g = random_algebra(rng)
+        r = random_representation(rng, g)
+        yield r
+        m = r.module_dim
+        rho = [list(map(list, t.data)) for t in r.rho]
+        rho[rng.randrange(g.dim)][rng.randrange(m)][rng.randrange(m)] += rng.choice(NONZERO)
+        yield Representation(g, m, r.A, tuple(Matrix(m, m, t) for t in rho))
+        n = rng.randint(1, 3)
+        phi = Matrix(n, n, [[rng.choice(NONZERO + [F0] * 20) for _ in range(n)] for _ in range(n)])
+        a = Matrix(2, 2, [[rng.choice(NONZERO + [F0] * 4) for _ in range(2)] for _ in range(2)])
+        action = Matrix(2, 2, [[0, rng.choice(NONZERO)], [0, 0]])
+        yield Representation(abelian_algebra(n, phi), 2, a,
+                             (action,) + tuple(Matrix.zeros(2, 2) for _ in range(n - 1)))
+
+
+def test_dual_matches_the_gated_reference():
+    seen = set()
+    for r in _dual_candidates(random.Random(7)):
+        want = reference_dual_representation(r)
+        assert repr(dual_representation(r)) == repr(want)
+        seen.add("exists" if want else "gate" if not reference_dual_gate(r) else "full-check")
+    assert seen == {"exists", "gate", "full-check"}
 
 
 def test_int_inputs_give_int_results():
@@ -149,3 +224,4 @@ def test_built_structures_hold_only_fractions():
         TwoTermHL(3, 3, Matrix.zeros(3, 3), g.bracket, g.bracket, zero_l3, g.phi, g.phi)))
     assert_all_fraction(shift)
     assert_all_fraction(strict_to_crossed(shift))
+    assert_all_fraction(l3_from_B(quadratic(g, killing_form(g))))

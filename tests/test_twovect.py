@@ -1,13 +1,126 @@
+"""2-vector spaces, and the 2-term DGLA structure on the endomorphisms of a
+complex, checked identity by identity on a basis of samples."""
+
 from fractions import Fraction
 
 import pytest
 
 from homlie2.errors import InputError
-from homlie2.exactlin import Matrix
-from homlie2.twovect import (check_linear_functor, end0_basis, end1_basis,
-                             end_dgla_check, from_complex)
+from homlie2.exactlin import F0, F1, Matrix, rank_and_kernel
+from homlie2.reports import CheckReport, LawChecker
+from homlie2.twovect import TwoVectorSpace, check_linear_functor, from_complex
 
 F = Fraction
+
+
+# --------------------------------------------------------------------------
+# The endomorphism DGLA End(V): degree-0 functors (A0, A1) with A0∘d = d∘A1,
+# degree-1 maps alpha in Hom(V0, V1), delta(alpha) = (d∘alpha, alpha∘d) and
+# the graded commutator.  The laws hold for every complex, so these checks
+# test the package's linear algebra rather than any input.
+# --------------------------------------------------------------------------
+
+def end0_basis(tvs: TwoVectorSpace) -> list[tuple[Matrix, Matrix]]:
+    """Basis of the degree-0 endomorphisms {(A0,A1) : A0 d = d A1}."""
+    n0, n1 = tvs.dim0, tvs.dim1
+    unknowns = n0 * n0 + n1 * n1
+    rows = []
+    for i in range(n0):
+        for j in range(n1):
+            row = [F0] * unknowns
+            for k in range(n0):
+                if tvs.d[k, j] != 0:
+                    row[i * n0 + k] += tvs.d[k, j]
+            for k in range(n1):
+                if tvs.d[i, k] != 0:
+                    row[n0 * n0 + k * n1 + j] -= tvs.d[i, k]
+            rows.append(row)
+    if not rows:
+        rows = [[F0] * unknowns]
+    _, ker = rank_and_kernel(Matrix(len(rows), unknowns, rows))
+    out = []
+    for v in ker:
+        a0 = Matrix(n0, n0, [[v[i * n0 + j] for j in range(n0)] for i in range(n0)])
+        a1 = Matrix(n1, n1, [[v[n0 * n0 + i * n1 + j] for j in range(n1)] for i in range(n1)])
+        out.append((a0, a1))
+    return out
+
+
+def end1_basis(tvs: TwoVectorSpace) -> list[Matrix]:
+    """Basis of Hom(V0, V1): elementary matrices."""
+    out = []
+    for i in range(tvs.dim1):
+        for j in range(tvs.dim0):
+            out.append(Matrix(tvs.dim1, tvs.dim0,
+                              [[F1 if (a, b) == (i, j) else F0 for b in range(tvs.dim0)]
+                               for a in range(tvs.dim1)]))
+    return out
+
+
+def end_dgla_check(tvs: TwoVectorSpace,
+                   functors: list[tuple[Matrix, Matrix]] | None = None,
+                   homs: list[Matrix] | None = None) -> CheckReport:
+    """Verify the 2-term DGLA structure on End(V) over the given samples.
+
+    Defaults enumerate a basis of End^0_d and of End^1; the identities are
+    multilinear, so basis samples are exhaustive.  Supplied degree-0 samples
+    must already lie in End^0_d (input error otherwise).
+    """
+    if functors is None:
+        functors = end0_basis(tvs)
+    if homs is None:
+        homs = end1_basis(tvs)
+    for pair in functors:
+        if not check_linear_functor(pair, tvs):
+            raise InputError("sample is not in End^0_d (A0 d != d A1)")
+    for alpha in homs:
+        if alpha.shape() != (tvs.dim1, tvs.dim0):
+            raise InputError("End^1 sample has wrong shape")
+    d = tvs.d
+
+    def delta(alpha: Matrix) -> tuple[Matrix, Matrix]:
+        return (d * alpha, alpha * d)
+
+    def brk0(a, b):
+        return (a[0] * b[0] - b[0] * a[0], a[1] * b[1] - b[1] * a[1])
+
+    def brk01(a, alpha):
+        return a[1] * alpha - alpha * a[0]
+
+    chk = LawChecker("end_dgla")
+    chk.scan("delta-into-end0",
+             (((i,), check_linear_functor(delta(al), tvs)) for i, al in enumerate(homs)))
+    chk.scan("bracket-closes",
+             (((i, j), check_linear_functor(brk0(a, b), tvs))
+              for i, a in enumerate(functors) for j, b in enumerate(functors)))
+    chk.scan("bracket-skew",
+             (((i, j), brk0(a, b) == (-(brk0(b, a)[0]), -(brk0(b, a)[1])))
+              for i, a in enumerate(functors) for j, b in enumerate(functors)))
+    chk.scan("graded-leibniz",
+             (((i, j), delta(brk01(a, al)) == brk0(a, delta(al)))
+              for i, a in enumerate(functors) for j, al in enumerate(homs)))
+
+    def jacobi0(a, b, c):
+        lhs = brk0(brk0(a, b), c)
+        rhs = brk0(a, brk0(b, c))
+        mid = brk0(b, brk0(a, c))
+        return lhs == (rhs[0] - mid[0], rhs[1] - mid[1])
+
+    chk.scan("jacobi-degree0",
+             (((i, j, k), jacobi0(a, b, c))
+              for i, a in enumerate(functors) for j, b in enumerate(functors)
+              for k, c in enumerate(functors)))
+    def jacobi_mixed(a, b, al):
+        # [A,[B,alpha]] - [B,[A,alpha]] = [[A,B],alpha], with [A,alpha] = A1∘alpha - alpha∘A0
+        lhs = a[1] * brk01(b, al) - brk01(b, al) * a[0]
+        mid = b[1] * brk01(a, al) - brk01(a, al) * b[0]
+        return lhs - mid == brk01(brk0(a, b), al)
+
+    chk.scan("jacobi-mixed",
+             (((i, j, k), jacobi_mixed(a, b, al))
+              for i, a in enumerate(functors) for j, b in enumerate(functors)
+              for k, al in enumerate(homs)))
+    return chk.report()
 
 
 def test_zero_differential_makes_source_equal_target():
