@@ -16,8 +16,8 @@ from .cohomology import (Cochain, Representation, check_representation,
                          class_is_trivial, cochain_from_function, coboundary,
                          dual_representation, trivial_representation)
 from .errors import CheckFailure, InputError, PreconditionError
-from .exactlin import (F0, Matrix, Vec, inverse, rank, solve_linear, unit_vec,
-                       vadd, vneg, zero_vec)
+from .exactlin import (F0, Matrix, Vec, inverse, rank, solve_linear, sparse_vec,
+                       unit_vec, vadd, vneg, zero_vec)
 from .homlie import (HomLieAlgebra, HomLieMorphism, Tensor2, as_tensor2,
                      bilinear_eval, check_hom_lie, check_hom_lie_morphism,
                      killing_form, twisted_algebra)
@@ -72,14 +72,20 @@ def check_quadratic(q: QuadraticHomLie) -> CheckReport:
     return chk.report()
 
 
-def quadratic(algebra: HomLieAlgebra, B: Matrix) -> QuadraticHomLie:
-    """Validated constructor: algebra axioms plus the three form invariants."""
-    check_hom_lie(algebra).require("quadratic algebra part")
-    q = QuadraticHomLie(algebra, B)
+def _require_form(q: QuadraticHomLie, context: str) -> None:
+    """Raise PreconditionError unless the form is symmetric, nondegenerate,
+    invariant and phi-symmetric."""
     report = check_quadratic(q)
     for law in ("symmetric", "nondegenerate", "invariance", "phi-symmetric"):
         if not report.item(law).passed:
-            raise CheckFailure(f"quadratic form fails {law}", report=report)
+            raise PreconditionError(f"{context} fails {law}", report=report)
+
+
+def quadratic(algebra: HomLieAlgebra, B: Matrix) -> QuadraticHomLie:
+    """Validated constructor: algebra axioms plus the form laws of `_require_form`."""
+    check_hom_lie(algebra).require("quadratic algebra part")
+    q = QuadraticHomLie(algebra, B)
+    _require_form(q, "quadratic form")
     return q
 
 
@@ -92,10 +98,7 @@ def l3_from_B(q: QuadraticHomLie) -> Cochain:
     g = q.algebra
     if not g.is_involutive():
         raise PreconditionError("l3_from_B requires an involutive twist")
-    report = check_quadratic(q)
-    for law in ("symmetric", "nondegenerate", "invariance", "phi-symmetric"):
-        if not report.item(law).passed:
-            raise PreconditionError(f"l3_from_B input fails {law}", report=report)
+    _require_form(q, "l3_from_B input")
     n = g.dim
     full = [[[_pair(q.B, g.bracket[i][j], g.basis(k)) for k in range(n)]
              for j in range(n)] for i in range(n)]
@@ -192,7 +195,9 @@ class CrossedModule:
         return Representation(self.g, self.h.dim, self.h.phi, self.action)
 
     def act(self, x: Vec, m: Vec) -> Vec:
-        return self.representation().rho_at(x).apply(m)
+        """x.m = Σ x_i · action[i](m) over the nonzero coordinates of x."""
+        terms = [[c * e for e in self.action[i].apply(m)] for i, c in sparse_vec(x)]
+        return tuple(map(sum, zip(*terms))) if terms else (0,) * self.h.dim
 
 
 def check_crossed_module(cm: CrossedModule) -> CheckReport:

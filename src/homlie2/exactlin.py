@@ -17,13 +17,15 @@ otherwise.  A `Tensor` (the nested tuples of structure constants) and a
 `Matrix` (by columns) build this form of their leaves on first use and keep
 it, and the evaluators (`Matrix.apply`, `bilinear_eval` in `homlie`,
 `trilinear_eval` in `hl2`) walk only nonzero inputs against it, adding into
-int zeros.  The rule is "int where integral": an integral computation runs
-on Python ints, and a non-integral entry turns into Fractions only the
-values it touches.  Nothing is divided, int–Fraction arithmetic is exact
-and ``3 == Fraction(3)`` with equal hashes, so every comparison gives the
-answer Fraction arithmetic would.  Evaluated vectors may therefore hold ints
-where they are integral; stored structures stay all-Fraction, because
-`vec` and `Matrix` coerce their entries.
+int zeros.  Whole composite tensors are built the same way: `dok` gives a
+tensor or matrix as a dict of keys over its nonzero entries, and `contract`
+sums products of such tensors joined on named slots, einsum-style.  The rule
+is "int where integral": an integral computation runs on Python ints, and a
+non-integral entry turns into Fractions only the values it touches.  Nothing
+is divided, int–Fraction arithmetic is exact and ``3 == Fraction(3)`` with
+equal hashes, so every comparison gives the answer Fraction arithmetic
+would.  Evaluated vectors may therefore hold ints where they are integral;
+stored structures stay all-Fraction, because `vec` and `Matrix` coerce them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import gcd, lcm
-from operator import add, neg
+from operator import add, itemgetter, neg
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -129,6 +131,64 @@ class Tensor(tuple):
 def sparse_form(t) -> tuple:
     """The sparse form of a tensor: kept on a Tensor, built afresh for a plain tuple."""
     return t.sparse if isinstance(t, Tensor) else _sparse(t)
+
+
+def dok(t) -> dict:
+    """The dict-of-keys form of a multilinear map: (input indices..., output
+    index) -> nonzero coefficient, int where integral.  A tensor T[i][j]
+    gives keys (i, j, k); a Matrix, as the map v -> M·v, (column, row)."""
+    if isinstance(t, Matrix):
+        return {(j, i): c for j in range(t.cols) for i, c in sparse_vec(t.column(j))}
+    if t and isinstance(t[0], tuple):
+        return {(i, *key): c for i, sub in enumerate(t) for key, c in dok(sub).items()}
+    return {(k,): c for k, c in sparse_vec(t)}
+
+
+def contract(out, *terms) -> dict:
+    """Σ coefficient · (product of factors), einsum-style, on dict-of-keys tensors.
+
+    A term is (coefficient, [(slots, tensor), ...]), `slots` naming the key
+    positions of its tensor in order.  Factors are joined from the left on
+    the slots they share; a slot that neither `out` nor a later factor names
+    is summed over once joined.  The result is keyed in the order of `out`
+    and holds no zero.  Nothing is divided: integral data stays on ints.
+    """
+    acc: dict = {}
+    for coef, factors in terms:
+        slots, t = factors[0]
+        for k, (bslots, b) in enumerate(factors[1:], 2):
+            slots, t = _join(slots, t, bslots, b, set(out).union(*(s for s, _ in factors[k:])))
+        pick = [slots.index(s) for s in out]
+        pick = None if pick == list(range(len(slots))) else _picker(pick)
+        for key, v in t.items():
+            key = pick(key) if pick else key
+            acc[key] = acc.get(key, 0) + coef * v
+    return {key: v for key, v in acc.items() if v}
+
+
+def _picker(positions):
+    """key -> the tuple of its entries at `positions`."""
+    if len(positions) == 1:
+        return lambda key, p=positions[0]: (key[p],)
+    return itemgetter(*positions) if positions else lambda key: ()
+
+
+def _join(aslots, a: dict, bslots, b: dict, keep) -> tuple:
+    """The product of a and b over their shared slots, keeping the slots in `keep`."""
+    shared = [s for s in aslots if s in bslots]
+    a_on, b_on = (_picker([slots.index(s) for s in shared]) for slots in (aslots, bslots))
+    a_kept = [p for p, s in enumerate(aslots) if s in keep]
+    b_kept = [p for p, s in enumerate(bslots) if s in keep and s not in shared]
+    head_of, tail_of = _picker(a_kept), _picker(b_kept)
+    groups: dict = {}
+    for key, v in b.items():
+        groups.setdefault(b_on(key), []).append((tail_of(key), v))
+    acc: dict = {}
+    for key, u in a.items():
+        head = head_of(key)
+        for tail, v in groups.get(a_on(key), ()):
+            acc[head + tail] = acc.get(head + tail, 0) + u * v
+    return (*(aslots[p] for p in a_kept), *(bslots[p] for p in b_kept)), acc
 
 
 class Matrix:

@@ -14,32 +14,34 @@ verifies the ten coherence conditions (a)-(j):
     (g) phi1 l2(x,m) = l2(phi0 x, phi1 m)
     (h) d l3(x,y,z) = l2(phi0 x, l2(y,z)) + l2(phi0 y, l2(z,x)) + l2(phi0 z, l2(x,y))
     (i) l3(x,y,dm) = l2(phi0 x, l2(y,m)) + l2(phi0 y, l2(m,x)) + l2(phi1 m, l2(x,y))
-    (j) the trilinear coherence of l3 against l2 (see _condition_j)
+    (j) the coherence of l3 against l2 in four arguments (ten terms, in check_two_term)
 
 plus the chain compatibility phi0∘d = d∘phi1, equivariance of l3, and
 skewness of l3.  `functor_T` turns such data into its categorical
 presentation (a 2-vector space with a bracket bifunctor, a twist functor,
 and a Jacobiator), `functor_S` goes back, and `check_hom_lie2` verifies the
 categorical laws directly in the (source, V1-part) model of arrows,
-including the hom-Jacobiator coherence diagram, which is evaluated stage by
-stage on basis 4-tuples with every intermediate object compared against the
-diagram's stated value; a failure names the stage that broke.
+including the hom-Jacobiator coherence diagram, each of whose stages (every
+intermediate object against the diagram's stated value) is its own
+identity; a failure names the stage that broke.
 
-Both scans run on the sparse integer kernel of `exactlin`: `bilinear_eval`,
-`trilinear_eval` and `Matrix.apply` walk only nonzero inputs against the
-sparse forms of the stored tensors, and the basis vectors the scans build
-(`basis0`, `basis1`, the object and arrow bases, identities) have int
-entries.  An integral structure is therefore checked entirely on Python
-ints, "int where integral"; the answers are those of Fraction arithmetic.
+The laws in three or four basis vectors ((h), (i), (j), l3-equivariance and
+the Jacobiator's laws on objects) are built once each as a residual tensor
+lhs − rhs by `exactlin.contract`, and scanned over the basis tuples as
+lookups.  The other laws run per tuple on the sparse kernel.  Both run on
+Python ints where the data is integral; the answers are those of Fraction
+arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 from .errors import InputError
-from .exactlin import (F0, Matrix, Tensor, Vec, is_zero_vec, sparse_form, sparse_vec,
-                       unit_vec, vadd, vneg, vec, zero_vec)
+from .exactlin import (F0, Matrix, Tensor, Vec, contract, dok, is_zero_vec, sparse_form,
+                       sparse_vec, unit_vec, vadd, vneg, vec, zero_vec)
 from .homlie import Tensor2, as_tensor2, bilinear_eval
 from .reports import CheckReport, LawChecker
 from .twovect import TwoVectorSpace, from_complex
@@ -132,37 +134,52 @@ class TwoTermHL:
         return self.d.is_zero()
 
     def is_strict(self) -> bool:
-        return all(is_zero_vec(self.l3[i][j][k])
-                   for i in range(self.dim0) for j in range(self.dim0)
-                   for k in range(self.dim0))
+        return not dok(self.l3)
 
 
-def _condition_j_sides(v: TwoTermHL, i, j, k, l, phi0_cols, phi0sq_cols):
-    pw, px, py, pz = phi0_cols[i], phi0_cols[j], phi0_cols[k], phi0_cols[l]
-    ppw, ppx, ppy, ppz = phi0sq_cols[i], phi0sq_cols[j], phi0sq_cols[k], phi0sq_cols[l]
-    wx, wy, wz = v.l2_00[i][j], v.l2_00[i][k], v.l2_00[i][l]
-    xy, xz, yz = v.l2_00[j][k], v.l2_00[j][l], v.l2_00[k][l]
-    lhs = v.l3_eval(wx, py, pz)
-    lhs = vadd(lhs, v.l2_mv(v.l3[i][j][l], ppy))
-    lhs = vadd(lhs, v.l3_eval(pw, xz, py))
-    lhs = vadd(lhs, v.l3_eval(wz, px, py))
-    rhs = v.l2_mv(v.l3[i][j][k], ppz)
-    rhs = vadd(rhs, v.l3_eval(wy, px, pz))
-    rhs = vadd(rhs, v.l3_eval(pw, xy, pz))
-    rhs = vadd(rhs, v.l2_vm(ppw, v.l3[j][k][l]))
-    rhs = vadd(rhs, v.l2_mv(v.l3[i][k][l], ppx))
-    rhs = vadd(rhs, v.l3_eval(pw, yz, px))
-    return lhs, rhs
+# Laws that are identities in three or four basis vectors are built once as
+# residual tensors (lhs − rhs) by `contract`.  An expression is (slot
+# letters, dict-of-keys tensor keyed by those slots in alphabetical order,
+# then the output index).  A composite such as l3(l2(a,b), φ0 c, φ0 d) is
+# built once in the slots a, b, c, d; each term of a law renames its slots.
+
+def _ap(t: dict, *xs):
+    """The multilinear map t (see `dok`) applied to its arguments, each a
+    slot letter or an expression whose output feeds that input."""
+    names = [x if isinstance(x, str) else k for k, x in enumerate(xs)]
+    factors = [((*x[0], k), x[1]) for k, x in enumerate(xs) if not isinstance(x, str)]
+    args = "".join(sorted({s for x in xs for s in (x if isinstance(x, str) else x[0])}))
+    if not factors and "".join(names) == args:
+        return args, t
+    return args, contract(args + "_", (1, [((*names, "_"), t)] + factors))
+
+
+def _sum(*terms):
+    """Σ sign · expr over terms (sign, expr) or (sign, expr, names), where
+    `names` renames expr's slots; the result has the first term's slots."""
+    named = [(t[0], t[2] if len(t) > 2 else t[1][0], t[1][1]) for t in terms]
+    return named[0][1], contract(named[0][1] + "_", *((s, [(n + "_", t)]) for s, n, t in named))
+
+
+def _scan_zero(chk: LawChecker, law: str, dims, expr, note: str = "") -> bool:
+    """Scan the basis tuples over `dims` in lexicographic order; a tuple
+    passes when the residual expr (lhs − rhs of the law) vanishes there."""
+    failing = {key[:-1] for key in expr[1]}
+    return chk.scan(law, ((t, t not in failing) for t in product(*map(range, dims))), note=note)
 
 
 def check_two_term(v: TwoTermHL) -> CheckReport:
-    """Run conditions (a)-(j) plus the twist compatibilities, with witnesses."""
+    """Run conditions (a)-(j) plus the twist compatibilities, with witnesses.
+
+    (h), (i), (j) and l3-equivariance are built once as residual tensors
+    by `contract` and scanned as lookups."""
     n0, n1 = v.dim0, v.dim1
     phi0_cols = [v.phi0.column(t) for t in range(n0)]
     phi1_cols = [v.phi1.column(t) for t in range(n1)]
-    phi0sq = v.phi0 * v.phi0
-    phi0sq_cols = [phi0sq.column(t) for t in range(n0)]
     chk = LawChecker("two_term_hl")
+    L2, M2, L3 = dok(v.l2_00), dok(v.l2_01), dok(v.l3)
+    D, P0, P1, P00 = dok(v.d), dok(v.phi0), dok(v.phi1), dok(v.phi0 * v.phi0)
+    phi = partial(_ap, P0)
 
     chk.scan("(a)", (((i, j), v.l2_00[i][j] == vneg(v.l2_00[j][i]))
                      for i in range(n0) for j in range(n0)))
@@ -178,39 +195,26 @@ def check_two_term(v: TwoTermHL) -> CheckReport:
                      for i in range(n0) for j in range(n0)))
     chk.scan("(g)", (((i, a), v.phi1.apply(v.l2_01[i][a]) == v.l2_vm(phi0_cols[i], phi1_cols[a]))
                      for i in range(n0) for a in range(n1)))
-
-    def cond_h(i, j, k):
-        rhs = v.l2_vv(phi0_cols[i], v.l2_00[j][k])
-        rhs = vadd(rhs, v.l2_vv(phi0_cols[j], v.l2_00[k][i]))
-        rhs = vadd(rhs, v.l2_vv(phi0_cols[k], v.l2_00[i][j]))
-        return v.d.apply(v.l3[i][j][k]) == rhs
-
-    chk.scan("(h)", (((i, j, k), cond_h(i, j, k))
-                     for i in range(n0) for j in range(n0) for k in range(n0)))
-
-    def cond_i(i, j, a):
-        lhs = v.l3_eval(v.basis0(i), v.basis0(j), v.d.column(a))
-        rhs = v.l2_vm(phi0_cols[i], v.l2_01[j][a])
-        rhs = vadd(rhs, v.l2_vm(phi0_cols[j], vneg(v.l2_01[i][a])))
-        rhs = vadd(rhs, vneg(v.l2_vm(v.l2_00[i][j], phi1_cols[a])))
-        return lhs == rhs
-
-    chk.scan("(i)", (((i, j, a), cond_i(i, j, a))
-                     for i in range(n0) for j in range(n0) for a in range(n1)))
-
-    def cond_j(i, j, k, l):
-        lhs, rhs = _condition_j_sides(v, i, j, k, l, phi0_cols, phi0sq_cols)
-        return lhs == rhs
-
-    chk.scan("(j)", (((i, j, k, l), cond_j(i, j, k, l))
-                     for i in range(n0) for j in range(n0)
-                     for k in range(n0) for l in range(n0)))
+    l3 = ("abc", L3)                                           # l3(a,b,c)
+    h = _ap(L2, phi("a"), _ap(L2, "b", "c"))                  # l2(φ0 a, l2(b,c))
+    _scan_zero(chk, "(h)", (n0, n0, n0), _sum(
+        (1, _ap(D, l3), "xyz"), (-1, h, "xyz"), (-1, h, "yzx"), (-1, h, "zxy")))
+    # (i) at (x, y, m), with the V1 slot c named z
+    i2 = _ap(M2, phi("a"), _ap(M2, "b", "c"))                 # l2(φ0 a, l2(b,m))
+    _scan_zero(chk, "(i)", (n0, n0, n1), _sum(
+        (1, _ap(L3, "a", "b", _ap(D, "c")), "xyz"), (-1, i2, "xyz"), (1, i2, "yxz"),
+        (1, _ap(M2, _ap(L2, "a", "b"), _ap(P1, "c")), "xyz")))
+    j1 = _ap(L3, _ap(L2, "a", "b"), phi("c"), phi("d"))        # l3(l2(a,b), φ0 c, φ0 d)
+    j2 = _ap(L3, phi("a"), _ap(L2, "b", "c"), phi("d"))        # l3(φ0 a, l2(b,c), φ0 d)
+    j3 = _ap(M2, _ap(P00, "a"), _ap(L3, "b", "c", "d"))       # l2(φ0² a, l3(b,c,d))
+    _scan_zero(chk, "(j)", (n0,) * 4, _sum(
+        (1, j1, "wxyz"), (1, j2, "wxzy"), (1, j1, "wzxy"),
+        (-1, j1, "wyxz"), (-1, j2, "wxyz"), (-1, j2, "wyzx"),
+        (-1, j3, "ywxz"), (1, j3, "zwxy"), (-1, j3, "wxyz"), (1, j3, "xwyz")))
 
     chk.add_matrix_eq("phi-chain", v.phi0 * v.d, v.d * v.phi1)
-    chk.scan("l3-equivariance",
-             (((i, j, k),
-               v.l3_eval(phi0_cols[i], phi0_cols[j], phi0_cols[k]) == v.phi1.apply(v.l3[i][j][k]))
-              for i in range(n0) for j in range(n0) for k in range(n0)))
+    _scan_zero(chk, "l3-equivariance", (n0,) * 3, _sum(
+        (1, _ap(L3, phi("a"), phi("b"), phi("c"))), (-1, _ap(P1, l3))))
     chk.scan("l3-skew",
              (((i, j, k), v.l3[i][j][k] == vneg(v.l3[j][i][k])
                and v.l3[i][j][k] == vneg(v.l3[i][k][j]))
@@ -443,7 +447,6 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
     mor_basis = list(tvs.mor_basis())
     obj_basis = [unit_vec(n0, i) for i in range(n0)]
     v1_basis = [unit_vec(n1, a) for a in range(n1)]
-    phi0sq = L.Phi0 * L.Phi0
     chk = LawChecker("hom_lie2")
 
     chk.scan("bracket-skew",
@@ -496,24 +499,9 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
                and L.jac[i][j][k] == vneg(L.jac[i][k][j]))
               for i in range(n0) for j in range(n0) for k in range(n0)))
 
-    def arrow_valid(i, j, k):
-        x, y, z = obj_basis[i], obj_basis[j], obj_basis[k]
-        expected = vadd(L.b_obj(L.phi_obj(x), L.b_obj(y, z)),
-                        L.b_obj(L.b_obj(x, z), L.phi_obj(y)))
-        return tvs.target(L.jac_mor(x, y, z)) == expected
-
-    chk.scan("jacobiator-arrow", (((i, j, k), arrow_valid(i, j, k))
-                                  for i in range(n0) for j in range(n0) for k in range(n0)),
-             note="J lands where the diagram says")
-
-    def equivariant(i, j, k):
-        x, y, z = obj_basis[i], obj_basis[j], obj_basis[k]
-        return L.jac_mor(L.phi_obj(x), L.phi_obj(y), L.phi_obj(z)) == \
-            L.phi_mor(L.jac_mor(x, y, z))
-
-    chk.scan("jacobiator-equivariance", (((i, j, k), equivariant(i, j, k))
-                                         for i in range(n0) for j in range(n0)
-                                         for k in range(n0)))
+    arrow, equivariance, stages = _jacobiator_residuals(L)
+    _scan_zero(chk, "jacobiator-arrow", (n0,) * 3, arrow, note="J lands where the diagram says")
+    _scan_zero(chk, "jacobiator-equivariance", (n0,) * 3, equivariance)
 
     def natural(p, q, r):
         mu, nu, rho = mor_basis[p], mor_basis[q], mor_basis[r]
@@ -530,93 +518,87 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
                                        for p in range(nm) for q in range(nm)
                                        for r in range(nm)))
 
-    broken = []
-
-    def hom_jacobiator(i, j, k, l):
-        stage = _jacobiator_broken_stage(L, obj_basis, phi0sq, i, j, k, l)
-        if stage is not None:
-            broken.append(stage)
-        return stage is None
-
+    stages = [(name, {key[:-1] for key in expr[1]}) for name, expr in stages]
+    broken = set().union(*(tuples for _, tuples in stages))
     note = "coherence diagram, both composites compared stagewise"
-    if not chk.scan("hom-jacobiator", (((i, j, k, l), hom_jacobiator(i, j, k, l))
-                                       for i in range(n0) for j in range(n0)
-                                       for k in range(n0) for l in range(n0)),
+    if not chk.scan("hom-jacobiator", ((t, t not in broken) for t in product(range(n0), repeat=4)),
                     note=note):
-        chk.amend_note(f"{note}; broke at stage {broken[-1]}")
+        first = min(broken)
+        stage = next(name for name, tuples in stages if first in tuples)
+        chk.amend_note(f"{note}; broke at stage {stage}")
     return chk.report()
 
 
-def _jacobiator_broken_stage(L: HomLie2Data, obj_basis, phi0sq, i, j, k, l) -> str | None:
-    """Evaluate both composite arrows of the coherence diagram at a basis
-    4-tuple and compare them as (source, V1-part) pairs; return the name of
-    the first stage that breaks, or None when the diagram commutes.
+def _jacobiator_residuals(L: HomLie2Data):
+    """The residuals of the Jacobiator's laws on objects, from the categorical
+    data alone: `jacobiator-arrow` and `jacobiator-equivariance` in x, y, z,
+    and each stage of the hom-Jacobiator coherence diagram in w, x, y, z.
 
-    Every intermediate object is compared against the value the diagram
-    prescribes; '+1' summands are identities and contribute no V1-part.
-    The stages, in order: the targets of the left composite's arrows (top,
-    n2, n3), the right composite's source and targets (r1-source, r1, r2,
-    r3/r4), and the final comparison of the two V1-parts (final).
+    Arrows are in coordinates V0 ⊕ V1.  A stage compares an intermediate
+    object with the value the diagram prescribes ('+1' summands are
+    identities, with no V1-part): the targets of the left composite's arrows
+    (top, n2, n3), the right composite's source and targets (r1-source, r1,
+    r2, r3/r4), and at last the two V1-parts (final).
     """
-    tvs = L.tvs
-    B, PHI = L.b_obj, L.phi_obj
-    PHI2 = phi0sq.apply
-    dmul = tvs.d.apply
-    w, x, y, z = obj_basis[i], obj_basis[j], obj_basis[k], obj_basis[l]
-    wx, wy, wz = B(w, x), B(w, y), B(w, z)
-    xy, xz, yz = B(x, y), B(x, z), B(y, z)
+    n0, n1 = L.tvs.dim0, L.tvs.dim1
+    B, BM, J, D = dok(L.bracket_obj), dok(L.bracket_mor), dok(L.jac), dok(L.tvs.d)
+    P, P2, PM = dok(L.Phi0), dok(L.Phi0 * L.Phi0), dok(L.Phi1)
+    obj = {(i, i): 1 for i in range(n0)}       # i: V0 -> arrows, and the source back
+    inc1 = {(a, n0 + a): 1 for a in range(n1)}  # V1 -> arrows
+    v1 = {(n0 + a, a): 1 for a in range(n1)}    # arrows -> V1-part
+    br, phi = partial(_ap, B), partial(_ap, P)
 
-    def add3(*vs):
-        out = vs[0]
-        for v_ in vs[1:]:
-            out = vadd(out, v_)
-        return out
+    def jac_arrow(x, y, z):     # J_{x,y,z}, with source [[x,y], Phi0 z]
+        src = _ap(obj, br(br(x, y), phi(z)))
+        return _sum((1, src), (1, _ap(inc1, _ap(J, x, y, z)), src[0]))
 
-    # ---- left/top composite ------------------------------------------------
-    p1 = L.jac_mor(wx, PHI(y), PHI(z))
-    src = p1[0]
-    top = vadd(B(PHI(wx), B(PHI(y), PHI(z))), B(B(wx, PHI(z)), PHI2(y)))
-    if vadd(src, dmul(p1[1])) != top:
-        return "top"
-    n2 = L.b_mor(L.jac_mor(w, x, z), tvs.ident(PHI2(y)))
-    m_obj = add3(B(PHI(wx), B(PHI(y), PHI(z))),
-                 B(B(PHI(w), xz), PHI2(y)),
-                 B(B(wz, PHI(x)), PHI2(y)))
-    if vadd(top, dmul(n2[1])) != m_obj:
-        return "n2"
-    n3a = L.jac_mor(PHI(w), xz, PHI(y))
-    n3b = L.jac_mor(wz, PHI(x), PHI(y))
-    q_obj = add3(B(PHI(wx), B(PHI(y), PHI(z))),
-                 B(PHI2(w), B(xz, PHI(y))),
-                 B(B(PHI(w), PHI(y)), PHI(xz)),
-                 B(PHI(wz), B(PHI(x), PHI(y))),
-                 B(B(wz, PHI(y)), PHI2(x)))
-    if add3(m_obj, dmul(n3a[1]), dmul(n3b[1])) != q_obj:
-        return "n3"
-    lhs_m = add3(p1[1], n2[1], n3a[1], n3b[1])
+    arrow = _sum((1, br(br("x", "y"), phi("z"))), (1, _ap(D, ("xyz", J))),
+                 (-1, br(phi("x"), br("y", "z"))), (-1, br(br("x", "z"), phi("y"))))
+    equivariance = _sum((1, jac_arrow(phi("x"), phi("y"), phi("z"))),
+                        (-1, _ap(PM, jac_arrow("x", "y", "z"))))
 
-    # ---- right/bottom composite ---------------------------------------------
-    r1 = L.b_mor(L.jac_mor(w, x, y), tvs.ident(PHI2(z)))
-    if r1[0] != src:
-        return "r1-source"
-    left_mid = vadd(B(B(PHI(w), xy), PHI2(z)), B(B(wy, PHI(x)), PHI2(z)))
-    if vadd(src, dmul(r1[1])) != left_mid:
-        return "r1"
-    r2a = L.jac_mor(PHI(w), xy, PHI(z))
-    r2b = L.jac_mor(wy, PHI(x), PHI(z))
-    p_obj = add3(B(PHI2(w), B(xy, PHI(z))),
-                 B(B(PHI(w), PHI(z)), PHI(xy)),
-                 B(PHI(wy), B(PHI(x), PHI(z))),
-                 B(B(wy, PHI(z)), PHI2(x)))
-    if add3(left_mid, dmul(r2a[1]), dmul(r2b[1])) != p_obj:
-        return "r2"
-    r3a = L.b_mor(tvs.ident(PHI2(w)), L.jac_mor(x, y, z))
-    r3b = L.b_mor(L.jac_mor(w, y, z), tvs.ident(PHI2(x)))
-    r4 = L.jac_mor(PHI(w), yz, PHI(x))
-    if add3(p_obj, dmul(r3a[1]), dmul(r3b[1]), dmul(r4[1])) != q_obj:
-        return "r3/r4"
-    rhs_m = add3(r1[1], r2a[1], r2b[1], r3a[1], r3b[1], r4[1])
-    return None if lhs_m == rhs_m else "final"
+    # the composites of the diagram, each built once in the slots a, b, c, d
+    ab, sq_a, sq_d = br("a", "b"), _ap(P2, "a"), _ap(P2, "d")
+    o1 = br(br(ab, phi("c")), sq_d)                         # [[[a,b], φc], φ²d]
+    o2 = br(phi(ab), br(phi("c"), phi("d")))                # [φ[a,b], [φc, φd]]
+    o3 = br(br(phi("a"), br("b", "c")), sq_d)               # [[φa, [b,c]], φ²d]
+    o4 = br(sq_a, br(br("b", "c"), phi("d")))               # [φ²a, [[b,c], φd]]
+    o5 = br(br(phi("a"), phi("b")), phi(br("c", "d")))      # [[φa, φb], φ[c,d]]
+    j1 = _ap(J, ab, phi("c"), phi("d"))                     # J_{[a,b], φc, φd}
+    j2 = _ap(J, phi("a"), br("b", "c"), phi("d"))           # J_{φa, [b,c], φd}
+    r = _ap(BM, jac_arrow("a", "b", "c"), _ap(obj, sq_d))   # [J_{a,b,c}, i(φ²d)]
+    j3 = _ap(v1, r)
+    j4 = _ap(v1, _ap(BM, _ap(obj, sq_a), jac_arrow("b", "c", "d")))  # [i(φ²a), J_{b,c,d}]
+    dj1, dj2, dj3, dj4 = (_ap(D, j) for j in (j1, j2, j3, j4))
+
+    def neg(terms):
+        return [(-sign, e, names) for sign, e, names in terms]
+
+    # left/top composite: J_{[w,x],φy,φz} from [[[w,x],φy],φ²z] to `top`,
+    # then [J_{w,x,z}, φ²y] to m_obj, then J_{φw,[x,z],φy} + J_{[w,z],φx,φy} to q_obj
+    src = [(1, o1, "wxyz")]
+    top = [(1, o2, "wxyz"), (1, o1, "wxzy")]
+    m_obj = [(1, o2, "wxyz"), (1, o3, "wxzy"), (1, o1, "wzxy")]
+    q_obj = [(1, o2, "wxyz"), (1, o4, "wxzy"), (1, o5, "wyxz"), (1, o2, "wzxy"),
+             (1, o1, "wzyx")]
+    left_v1 = [(1, j1, "wxyz"), (1, j3, "wxzy"), (1, j2, "wxzy"), (1, j1, "wzxy")]
+    # right/bottom composite: [J_{w,x,y}, φ²z] to left_mid, then J_{φw,[x,y],φz} +
+    # J_{[w,y],φx,φz} to p_obj, then [φ²w, J_{x,y,z}] + [J_{w,y,z}, φ²x] + J_{φw,[y,z],φx}
+    left_mid = [(1, o3, "wxyz"), (1, o1, "wyxz")]
+    p_obj = [(1, o4, "wxyz"), (1, o5, "wzxy"), (1, o2, "wyxz"), (1, o1, "wyzx")]
+    right_v1 = [(1, j3, "wxyz"), (1, j2, "wxyz"), (1, j1, "wyxz"), (1, j4, "wxyz"),
+                (1, j3, "wyzx"), (1, j2, "wyzx")]
+    stages = [
+        ("top", src + [(1, dj1, "wxyz")] + neg(top)),
+        ("n2", top + [(1, dj3, "wxzy")] + neg(m_obj)),
+        ("n3", m_obj + [(1, dj2, "wxzy"), (1, dj1, "wzxy")] + neg(q_obj)),
+        ("r1-source", [(1, _ap(obj, r), "wxyz")] + neg(src)),
+        ("r1", src + [(1, dj3, "wxyz")] + neg(left_mid)),
+        ("r2", left_mid + [(1, dj2, "wxyz"), (1, dj1, "wyxz")] + neg(p_obj)),
+        ("r3/r4", p_obj + [(1, dj4, "wxyz"), (1, dj3, "wyzx"), (1, dj2, "wyzx")] + neg(q_obj)),
+        ("final", left_v1 + neg(right_v1)),
+    ]
+    return arrow, equivariance, [(name, _sum(*terms)) for name, terms in stages]
 
 
 def roundtrip_check(obj) -> CheckReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from homlie2.cohomology import (Cochain, Representation, adjoint_representation,
                                 check_representation, hom_cochain_basis,
@@ -19,8 +19,8 @@ from homlie2.cohomology import (Cochain, Representation, adjoint_representation,
 from homlie2.constructions import sl2_example
 from homlie2.errors import PreconditionError
 from homlie2.exactlin import (F0, F1, Matrix, Vec, det_of, inverse, rank, rank_and_kernel,
-                              rat)
-from homlie2.hl2 import HLMorphism, TwoTermHL
+                              rat, vadd, vneg)
+from homlie2.hl2 import HLMorphism, HomLie2Data, TwoTermHL
 from homlie2.homlie import HomLieAlgebra, abelian_algebra
 
 
@@ -78,6 +78,22 @@ def sl2_sum(c: int) -> HomLieAlgebra:
                 for l in range(3):
                     br[o + i][o + j][o + l] = g.bracket[i][j][l]
     return HomLieAlgebra(n, br, Matrix(n, n, phi))
+
+
+def _zero_l3(n: int):
+    return [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+
+def shift_strict(g: HomLieAlgebra) -> TwoTermHL:
+    """g -0-> g with l2 the bracket on both components, l3 = 0."""
+    return TwoTermHL(g.dim, g.dim, Matrix.zeros(g.dim, g.dim), g.bracket, g.bracket,
+                     _zero_l3(g.dim), g.phi, g.phi)
+
+
+def identity_complex(g: HomLieAlgebra) -> TwoTermHL:
+    """g -Id-> g with l2 the bracket on both components, l3 = 0."""
+    return TwoTermHL(g.dim, g.dim, Matrix.identity(g.dim), g.bracket, g.bracket,
+                     _zero_l3(g.dim), g.phi, g.phi)
 
 
 def random_algebra(rng: random.Random, max_dim=4) -> HomLieAlgebra:
@@ -406,3 +422,163 @@ def reference_dual_representation(r: Representation) -> Representation | None:
     candidate = Representation(r.algebra, r.module_dim, r.A.transpose(),
                                tuple(-(m.transpose()) for m in r.rho))
     return candidate if check_representation(candidate).ok else None
+
+
+# --------------------------------------------------------------------------
+# Reference law scans: the per-tuple checks that evaluated every composite
+# term again at each basis tuple.  `check_two_term` and `check_hom_lie2`
+# build these laws once as residual tensors; they must report the same
+# first failing tuple and, for the hom-Jacobiator, the same stage.
+# --------------------------------------------------------------------------
+
+def _first_failing(tuples, ok):
+    return next((t for t in tuples if not ok(*t)), None)
+
+
+def reference_condition_j_sides(v: TwoTermHL, i, j, k, l, phi0_cols, phi0sq_cols):
+    pw, px, py, pz = phi0_cols[i], phi0_cols[j], phi0_cols[k], phi0_cols[l]
+    ppw, ppx, ppy, ppz = phi0sq_cols[i], phi0sq_cols[j], phi0sq_cols[k], phi0sq_cols[l]
+    wx, wy, wz = v.l2_00[i][j], v.l2_00[i][k], v.l2_00[i][l]
+    xy, xz, yz = v.l2_00[j][k], v.l2_00[j][l], v.l2_00[k][l]
+    lhs = v.l3_eval(wx, py, pz)
+    lhs = vadd(lhs, v.l2_mv(v.l3[i][j][l], ppy))
+    lhs = vadd(lhs, v.l3_eval(pw, xz, py))
+    lhs = vadd(lhs, v.l3_eval(wz, px, py))
+    rhs = v.l2_mv(v.l3[i][j][k], ppz)
+    rhs = vadd(rhs, v.l3_eval(wy, px, pz))
+    rhs = vadd(rhs, v.l3_eval(pw, xy, pz))
+    rhs = vadd(rhs, v.l2_vm(ppw, v.l3[j][k][l]))
+    rhs = vadd(rhs, v.l2_mv(v.l3[i][k][l], ppx))
+    rhs = vadd(rhs, v.l3_eval(pw, yz, px))
+    return lhs, rhs
+
+
+def reference_two_term_witnesses(v: TwoTermHL) -> dict:
+    """{law: first failing tuple or None} for (h), (i), (j) and l3-equivariance."""
+    n0, n1 = v.dim0, v.dim1
+    phi0_cols = [v.phi0.column(t) for t in range(n0)]
+    phi1_cols = [v.phi1.column(t) for t in range(n1)]
+    phi0sq = v.phi0 * v.phi0
+    phi0sq_cols = [phi0sq.column(t) for t in range(n0)]
+
+    def cond_h(i, j, k):
+        rhs = v.l2_vv(phi0_cols[i], v.l2_00[j][k])
+        rhs = vadd(rhs, v.l2_vv(phi0_cols[j], v.l2_00[k][i]))
+        rhs = vadd(rhs, v.l2_vv(phi0_cols[k], v.l2_00[i][j]))
+        return v.d.apply(v.l3[i][j][k]) == rhs
+
+    def cond_i(i, j, a):
+        lhs = v.l3_eval(v.basis0(i), v.basis0(j), v.d.column(a))
+        rhs = v.l2_vm(phi0_cols[i], v.l2_01[j][a])
+        rhs = vadd(rhs, v.l2_vm(phi0_cols[j], vneg(v.l2_01[i][a])))
+        rhs = vadd(rhs, vneg(v.l2_vm(v.l2_00[i][j], phi1_cols[a])))
+        return lhs == rhs
+
+    def cond_j(i, j, k, l):
+        lhs, rhs = reference_condition_j_sides(v, i, j, k, l, phi0_cols, phi0sq_cols)
+        return lhs == rhs
+
+    def equivariant(i, j, k):
+        return v.l3_eval(phi0_cols[i], phi0_cols[j], phi0_cols[k]) == v.phi1.apply(v.l3[i][j][k])
+
+    r0 = range(n0)
+    return {"(h)": _first_failing(product(r0, r0, r0), cond_h),
+            "(i)": _first_failing(product(r0, r0, range(n1)), cond_i),
+            "(j)": _first_failing(product(r0, r0, r0, r0), cond_j),
+            "l3-equivariance": _first_failing(product(r0, r0, r0), equivariant)}
+
+
+def reference_jacobiator_broken_stage(L: HomLie2Data, obj_basis, phi0sq, i, j, k, l):
+    """Evaluate both composite arrows of the coherence diagram at a basis
+    4-tuple and compare them as (source, V1-part) pairs; return the name of
+    the first stage that breaks, or None when the diagram commutes."""
+    tvs = L.tvs
+    B, PHI = L.b_obj, L.phi_obj
+    PHI2 = phi0sq.apply
+    dmul = tvs.d.apply
+    w, x, y, z = obj_basis[i], obj_basis[j], obj_basis[k], obj_basis[l]
+    wx, wy, wz = B(w, x), B(w, y), B(w, z)
+    xy, xz, yz = B(x, y), B(x, z), B(y, z)
+
+    def add3(*vs):
+        out = vs[0]
+        for v_ in vs[1:]:
+            out = vadd(out, v_)
+        return out
+
+    # ---- left/top composite ------------------------------------------------
+    p1 = L.jac_mor(wx, PHI(y), PHI(z))
+    src = p1[0]
+    top = vadd(B(PHI(wx), B(PHI(y), PHI(z))), B(B(wx, PHI(z)), PHI2(y)))
+    if vadd(src, dmul(p1[1])) != top:
+        return "top"
+    n2 = L.b_mor(L.jac_mor(w, x, z), tvs.ident(PHI2(y)))
+    m_obj = add3(B(PHI(wx), B(PHI(y), PHI(z))),
+                 B(B(PHI(w), xz), PHI2(y)),
+                 B(B(wz, PHI(x)), PHI2(y)))
+    if vadd(top, dmul(n2[1])) != m_obj:
+        return "n2"
+    n3a = L.jac_mor(PHI(w), xz, PHI(y))
+    n3b = L.jac_mor(wz, PHI(x), PHI(y))
+    q_obj = add3(B(PHI(wx), B(PHI(y), PHI(z))),
+                 B(PHI2(w), B(xz, PHI(y))),
+                 B(B(PHI(w), PHI(y)), PHI(xz)),
+                 B(PHI(wz), B(PHI(x), PHI(y))),
+                 B(B(wz, PHI(y)), PHI2(x)))
+    if add3(m_obj, dmul(n3a[1]), dmul(n3b[1])) != q_obj:
+        return "n3"
+    lhs_m = add3(p1[1], n2[1], n3a[1], n3b[1])
+
+    # ---- right/bottom composite ---------------------------------------------
+    r1 = L.b_mor(L.jac_mor(w, x, y), tvs.ident(PHI2(z)))
+    if r1[0] != src:
+        return "r1-source"
+    left_mid = vadd(B(B(PHI(w), xy), PHI2(z)), B(B(wy, PHI(x)), PHI2(z)))
+    if vadd(src, dmul(r1[1])) != left_mid:
+        return "r1"
+    r2a = L.jac_mor(PHI(w), xy, PHI(z))
+    r2b = L.jac_mor(wy, PHI(x), PHI(z))
+    p_obj = add3(B(PHI2(w), B(xy, PHI(z))),
+                 B(B(PHI(w), PHI(z)), PHI(xy)),
+                 B(PHI(wy), B(PHI(x), PHI(z))),
+                 B(B(wy, PHI(z)), PHI2(x)))
+    if add3(left_mid, dmul(r2a[1]), dmul(r2b[1])) != p_obj:
+        return "r2"
+    r3a = L.b_mor(tvs.ident(PHI2(w)), L.jac_mor(x, y, z))
+    r3b = L.b_mor(L.jac_mor(w, y, z), tvs.ident(PHI2(x)))
+    r4 = L.jac_mor(PHI(w), yz, PHI(x))
+    if add3(p_obj, dmul(r3a[1]), dmul(r3b[1]), dmul(r4[1])) != q_obj:
+        return "r3/r4"
+    rhs_m = add3(r1[1], r2a[1], r2b[1], r3a[1], r3b[1], r4[1])
+    return None if lhs_m == rhs_m else "final"
+
+
+def reference_hom_lie2_witnesses(L: HomLie2Data) -> dict:
+    """{law: first failing tuple or None} for jacobiator-arrow,
+    jacobiator-equivariance and hom-jacobiator, and the broken stage
+    under "stage" (None when the diagram commutes)."""
+    tvs = L.tvs
+    n0 = tvs.dim0
+    obj_basis = [tuple(1 if t == i else 0 for t in range(n0)) for i in range(n0)]
+    phi0sq = L.Phi0 * L.Phi0
+
+    def arrow_valid(i, j, k):
+        x, y, z = obj_basis[i], obj_basis[j], obj_basis[k]
+        expected = vadd(L.b_obj(L.phi_obj(x), L.b_obj(y, z)),
+                        L.b_obj(L.b_obj(x, z), L.phi_obj(y)))
+        return tvs.target(L.jac_mor(x, y, z)) == expected
+
+    def equivariant(i, j, k):
+        x, y, z = obj_basis[i], obj_basis[j], obj_basis[k]
+        return L.jac_mor(L.phi_obj(x), L.phi_obj(y), L.phi_obj(z)) == \
+            L.phi_mor(L.jac_mor(x, y, z))
+
+    def commutes(i, j, k, l):
+        return reference_jacobiator_broken_stage(L, obj_basis, phi0sq, i, j, k, l) is None
+
+    r0 = range(n0)
+    first = _first_failing(product(r0, r0, r0, r0), commutes)
+    return {"jacobiator-arrow": _first_failing(product(r0, r0, r0), arrow_valid),
+            "jacobiator-equivariance": _first_failing(product(r0, r0, r0), equivariant),
+            "hom-jacobiator": first,
+            "stage": first and reference_jacobiator_broken_stage(L, obj_basis, phi0sq, *first)}

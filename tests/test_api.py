@@ -1,7 +1,9 @@
-"""The package namespace, and the names the benchmark's tracer patches.
+"""The package namespace, and what the benchmark's tracer relies on.
 
-`bench/tracer.py` wraps the functions and methods in its TARGETS by name;
-a deletion or rename here must fail these tests, not the traced run.
+`bench/tracer.py` wraps the functions and methods in its TARGETS by name,
+and on passing inputs requires every law scan to consume the number of
+cases `bench/oracles.py` derives from the dimensions.  A deletion, a rename
+or a changed scan must fail these tests, not the traced run.
 """
 
 import importlib
@@ -10,8 +12,13 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import homlie2
+from helpers import shift_strict, sl2_sum
+from homlie2.constructions import sl2_example, string_from_semisimple
 from homlie2.exactlin import Matrix
+from homlie2.hl2 import check_hom_lie2, check_two_term, functor_T
 from homlie2.reports import LawChecker
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -33,14 +40,14 @@ def test_removed_names_are_gone():
     assert not hasattr(Matrix, "scale") and not hasattr(Matrix, "is_skew")
 
 
-def load_tracer_module() -> ModuleType:
-    """Import bench/tracer.py without writing anything under bench/."""
+def load_bench_module(name: str) -> ModuleType:
+    """Import bench/<name>.py without writing anything under bench/."""
     saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
     saved_modules = set(sys.modules)
     sys.path.insert(0, str(BENCH))
     sys.dont_write_bytecode = True
     try:
-        spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     finally:
@@ -53,7 +60,7 @@ def load_tracer_module() -> ModuleType:
 
 
 def test_every_tracer_target_resolves():
-    tracer = load_tracer_module()
+    tracer = load_bench_module("tracer")
     assert tracer.TARGETS
     for modname, attr, _layer, _keep in tracer.TARGETS:
         module = importlib.import_module(f"homlie2.{modname}")
@@ -63,3 +70,40 @@ def test_every_tracer_target_resolves():
         else:
             assert callable(getattr(module, attr, None)), f"{modname}.{attr}"
     assert "scan" in vars(LawChecker)
+
+
+def count_scanned_cases(monkeypatch) -> dict:
+    """Patch LawChecker.scan to record {(subject, law): pairs consumed}."""
+    counts = {}
+    scan = LawChecker.scan
+
+    def counting(checker, law, pairs, note=""):
+        consumed = 0
+
+        def counted():
+            nonlocal consumed
+            for pair in pairs:
+                consumed += 1
+                yield pair
+
+        passed = scan(checker, law, counted(), note)
+        counts[(checker.subject, law)] = consumed
+        return passed
+
+    monkeypatch.setattr(LawChecker, "scan", counting)
+    return counts
+
+
+@pytest.mark.parametrize("make", [
+    lambda: string_from_semisimple(sl2_sum(1)),
+    lambda: string_from_semisimple(sl2_sum(2)),
+    lambda: shift_strict(sl2_example()),
+])
+def test_scans_consume_the_benchmark_case_counts(make, monkeypatch):
+    oracles = load_bench_module("oracles")
+    v = make()
+    counts = count_scanned_cases(monkeypatch)
+    assert check_two_term(v).ok and check_hom_lie2(functor_T(v)).ok
+    for subject, expected in (("two_term_hl", oracles.two_term_cases(v.dim0, v.dim1)),
+                              ("hom_lie2", oracles.hom_lie2_cases(v.dim0, v.dim1))):
+        assert {law: n for (s, law), n in counts.items() if s == subject} == expected

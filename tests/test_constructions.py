@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_involution, rnd_frac
+from helpers import random_involution, rnd_frac, shift_strict
 from homlie2.cohomology import (Representation, check_representation,
                                 class_is_trivial, coboundary,
                                 trivial_representation)
@@ -18,7 +18,7 @@ from homlie2.constructions import (CrossedModule, HomLeftSymmetric,
                                    strict_to_crossed, string_from_semisimple)
 from homlie2.errors import PreconditionError
 from homlie2.exactlin import Matrix, inverse, rank
-from homlie2.hl2 import TwoTermHL, check_two_term
+from homlie2.hl2 import check_two_term
 from homlie2.homlie import HomLieAlgebra, abelian_algebra, killing_form
 from homlie2.modelfile import load_model
 
@@ -89,6 +89,17 @@ def test_l3_from_B_requires_involution():
         l3_from_B(q)
 
 
+def test_failing_form_law_raises_one_class():
+    g = sl2_example()
+    K = killing_form(g)
+    bad = Matrix(3, 3, [[K[i, j] + (1 if (i, j) == (0, 0) else 0) for j in range(3)]
+                        for i in range(3)])
+    with pytest.raises(PreconditionError, match="quadratic form fails invariance"):
+        quadratic(g, bad)
+    with pytest.raises(PreconditionError, match="l3_from_B input fails invariance"):
+        l3_from_B(QuadraticHomLie(g, bad))
+
+
 def test_skeletal_from_quadratic():
     g = sl2_example()
     v = skeletal_from_quadratic(quadratic(g, killing_form(g)))
@@ -136,13 +147,6 @@ def test_skeletal_action_is_a_representation():
 
 
 # -- crossed modules -----------------------------------------------------------
-
-def shift_strict(g):
-    zero_l3 = [[[[0] * g.dim for _ in range(g.dim)] for _ in range(g.dim)]
-               for _ in range(g.dim)]
-    return TwoTermHL(g.dim, g.dim, Matrix.zeros(g.dim, g.dim), g.bracket, g.bracket,
-                     zero_l3, g.phi, g.phi)
-
 
 def test_shift_strict_to_crossed():
     v = shift_strict(sl2_example())

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_invertible, transport_two_term
+from helpers import identity_complex, random_invertible, shift_strict, transport_two_term
 from homlie2.cohomology import (Representation, check_representation,
                                 coboundary, cochain_from_function)
 from homlie2.constructions import sl2_example, string_from_semisimple
@@ -25,12 +25,6 @@ def zero_l3(n0, n1):
 def zero_t2(rows, cols, out=None):
     out = cols if out is None else out
     return [[[0] * out for _ in range(cols)] for _ in range(rows)]
-
-
-def shift_strict(g):
-    """g -0-> g with l2 the bracket on both components."""
-    return TwoTermHL(g.dim, g.dim, Matrix.zeros(g.dim, g.dim), g.bracket, g.bracket,
-                     zero_l3(g.dim, g.dim), g.phi, g.phi)
 
 
 def abelian_two_term():
@@ -251,12 +245,6 @@ def test_strict_structure_has_identity_jacobiator():
 
 
 # -- where the coherence diagram breaks -----------------------------------------
-
-def identity_complex(g):
-    """g -Id-> g with l2 the bracket on both components, l3 = 0."""
-    return TwoTermHL(g.dim, g.dim, Matrix.identity(g.dim), g.bracket, g.bracket,
-                     zero_l3(g.dim, g.dim), g.phi, g.phi)
-
 
 @pytest.mark.parametrize("make, entry, stage", [
     (lambda: string_from_semisimple(sl2_example()), (0, 1, 2, 0), "final"),
