@@ -139,9 +139,13 @@ def dok(t) -> dict:
     gives keys (i, j, k); a Matrix, as the map v -> M·v, (column, row)."""
     if isinstance(t, Matrix):
         return {(j, i): c for j in range(t.cols) for i, c in sparse_vec(t.column(j))}
-    if t and isinstance(t[0], tuple):
-        return {(i, *key): c for i, sub in enumerate(t) for key, c in dok(sub).items()}
-    return {(k,): c for k, c in sparse_vec(t)}
+    return _dok(sparse_form(t))
+
+
+def _dok(sp) -> dict:
+    if sp and sp[0] and sp[0][0].__class__ is int:  # a leaf: (index, coefficient) pairs
+        return {(k,): c for k, c in sp}
+    return {(i, *key): c for i, sub in enumerate(sp) for key, c in _dok(sub).items()}
 
 
 def contract(out, *terms) -> dict:
@@ -189,6 +193,29 @@ def _join(aslots, a: dict, bslots, b: dict, keep) -> tuple:
         for tail, v in groups.get(a_on(key), ()):
             acc[head + tail] = acc.get(head + tail, 0) + u * v
     return (*(aslots[p] for p in a_kept), *(bslots[p] for p in b_kept)), acc
+
+
+# The residual tensors (lhs − rhs) of the laws are built from expressions:
+# (slot letters, dok tensor keyed by those slots in alphabetical order, then
+# the output index).  A composite such as l3(l2(a,b), φ0 c, φ0 d) is built
+# once in the slots a, b, c, d; each term of a law renames its slots.
+
+def _ap(t: dict, *xs):
+    """The multilinear map t (see `dok`) applied to its arguments, each a
+    slot letter or an expression whose output feeds that input."""
+    names = [x if isinstance(x, str) else k for k, x in enumerate(xs)]
+    factors = [((*x[0], k), x[1]) for k, x in enumerate(xs) if not isinstance(x, str)]
+    args = "".join(sorted({s for x in xs for s in (x if isinstance(x, str) else x[0])}))
+    if not factors and "".join(names) == args:
+        return args, t
+    return args, contract(args + "_", (1, [((*names, "_"), t)] + factors))
+
+
+def _sum(*terms):
+    """Σ sign · expr over terms (sign, expr) or (sign, expr, names), where
+    `names` renames expr's slots; the result has the first term's slots."""
+    named = [(t[0], t[2] if len(t) > 2 else t[1][0], t[1][1]) for t in terms]
+    return named[0][1], contract(named[0][1] + "_", *((s, [(n + "_", t)]) for s, n, t in named))
 
 
 class Matrix:

@@ -37,10 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 
 from .errors import InputError
-from .exactlin import (F0, Matrix, Tensor, Vec, contract, dok, is_zero_vec, sparse_form,
+from .exactlin import (F0, Matrix, Tensor, Vec, _ap, _sum, dok, is_zero_vec, sparse_form,
                        sparse_vec, unit_vec, vadd, vneg, vec, zero_vec)
 from .homlie import Tensor2, as_tensor2, bilinear_eval
 from .reports import CheckReport, LawChecker
@@ -137,37 +136,6 @@ class TwoTermHL:
         return not dok(self.l3)
 
 
-# Laws that are identities in three or four basis vectors are built once as
-# residual tensors (lhs − rhs) by `contract`.  An expression is (slot
-# letters, dict-of-keys tensor keyed by those slots in alphabetical order,
-# then the output index).  A composite such as l3(l2(a,b), φ0 c, φ0 d) is
-# built once in the slots a, b, c, d; each term of a law renames its slots.
-
-def _ap(t: dict, *xs):
-    """The multilinear map t (see `dok`) applied to its arguments, each a
-    slot letter or an expression whose output feeds that input."""
-    names = [x if isinstance(x, str) else k for k, x in enumerate(xs)]
-    factors = [((*x[0], k), x[1]) for k, x in enumerate(xs) if not isinstance(x, str)]
-    args = "".join(sorted({s for x in xs for s in (x if isinstance(x, str) else x[0])}))
-    if not factors and "".join(names) == args:
-        return args, t
-    return args, contract(args + "_", (1, [((*names, "_"), t)] + factors))
-
-
-def _sum(*terms):
-    """Σ sign · expr over terms (sign, expr) or (sign, expr, names), where
-    `names` renames expr's slots; the result has the first term's slots."""
-    named = [(t[0], t[2] if len(t) > 2 else t[1][0], t[1][1]) for t in terms]
-    return named[0][1], contract(named[0][1] + "_", *((s, [(n + "_", t)]) for s, n, t in named))
-
-
-def _scan_zero(chk: LawChecker, law: str, dims, expr, note: str = "") -> bool:
-    """Scan the basis tuples over `dims` in lexicographic order; a tuple
-    passes when the residual expr (lhs − rhs of the law) vanishes there."""
-    failing = {key[:-1] for key in expr[1]}
-    return chk.scan(law, ((t, t not in failing) for t in product(*map(range, dims))), note=note)
-
-
 def check_two_term(v: TwoTermHL) -> CheckReport:
     """Run conditions (a)-(j) plus the twist compatibilities, with witnesses.
 
@@ -197,24 +165,24 @@ def check_two_term(v: TwoTermHL) -> CheckReport:
                      for i in range(n0) for a in range(n1)))
     l3 = ("abc", L3)                                           # l3(a,b,c)
     h = _ap(L2, phi("a"), _ap(L2, "b", "c"))                  # l2(φ0 a, l2(b,c))
-    _scan_zero(chk, "(h)", (n0, n0, n0), _sum(
-        (1, _ap(D, l3), "xyz"), (-1, h, "xyz"), (-1, h, "yzx"), (-1, h, "zxy")))
+    chk.scan_zero("(h)", (n0, n0, n0), _sum(
+        (1, _ap(D, l3), "xyz"), (-1, h, "xyz"), (-1, h, "yzx"), (-1, h, "zxy"))[1])
     # (i) at (x, y, m), with the V1 slot c named z
     i2 = _ap(M2, phi("a"), _ap(M2, "b", "c"))                 # l2(φ0 a, l2(b,m))
-    _scan_zero(chk, "(i)", (n0, n0, n1), _sum(
+    chk.scan_zero("(i)", (n0, n0, n1), _sum(
         (1, _ap(L3, "a", "b", _ap(D, "c")), "xyz"), (-1, i2, "xyz"), (1, i2, "yxz"),
-        (1, _ap(M2, _ap(L2, "a", "b"), _ap(P1, "c")), "xyz")))
+        (1, _ap(M2, _ap(L2, "a", "b"), _ap(P1, "c")), "xyz"))[1])
     j1 = _ap(L3, _ap(L2, "a", "b"), phi("c"), phi("d"))        # l3(l2(a,b), φ0 c, φ0 d)
     j2 = _ap(L3, phi("a"), _ap(L2, "b", "c"), phi("d"))        # l3(φ0 a, l2(b,c), φ0 d)
     j3 = _ap(M2, _ap(P00, "a"), _ap(L3, "b", "c", "d"))       # l2(φ0² a, l3(b,c,d))
-    _scan_zero(chk, "(j)", (n0,) * 4, _sum(
+    chk.scan_zero("(j)", (n0,) * 4, _sum(
         (1, j1, "wxyz"), (1, j2, "wxzy"), (1, j1, "wzxy"),
         (-1, j1, "wyxz"), (-1, j2, "wxyz"), (-1, j2, "wyzx"),
-        (-1, j3, "ywxz"), (1, j3, "zwxy"), (-1, j3, "wxyz"), (1, j3, "xwyz")))
+        (-1, j3, "ywxz"), (1, j3, "zwxy"), (-1, j3, "wxyz"), (1, j3, "xwyz"))[1])
 
     chk.add_matrix_eq("phi-chain", v.phi0 * v.d, v.d * v.phi1)
-    _scan_zero(chk, "l3-equivariance", (n0,) * 3, _sum(
-        (1, _ap(L3, phi("a"), phi("b"), phi("c"))), (-1, _ap(P1, l3))))
+    chk.scan_zero("l3-equivariance", (n0,) * 3, _sum(
+        (1, _ap(L3, phi("a"), phi("b"), phi("c"))), (-1, _ap(P1, l3)))[1])
     chk.scan("l3-skew",
              (((i, j, k), v.l3[i][j][k] == vneg(v.l3[j][i][k])
                and v.l3[i][j][k] == vneg(v.l3[i][k][j]))
@@ -500,8 +468,8 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
               for i in range(n0) for j in range(n0) for k in range(n0)))
 
     arrow, equivariance, stages = _jacobiator_residuals(L)
-    _scan_zero(chk, "jacobiator-arrow", (n0,) * 3, arrow, note="J lands where the diagram says")
-    _scan_zero(chk, "jacobiator-equivariance", (n0,) * 3, equivariance)
+    chk.scan_zero("jacobiator-arrow", (n0,) * 3, arrow, note="J lands where the diagram says")
+    chk.scan_zero("jacobiator-equivariance", (n0,) * 3, equivariance)
 
     def natural(p, q, r):
         mu, nu, rho = mor_basis[p], mor_basis[q], mor_basis[r]
@@ -518,13 +486,11 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
                                        for p in range(nm) for q in range(nm)
                                        for r in range(nm)))
 
-    stages = [(name, {key[:-1] for key in expr[1]}) for name, expr in stages]
-    broken = set().union(*(tuples for _, tuples in stages))
+    broken = set().union(*(residual for _, residual in stages))
     note = "coherence diagram, both composites compared stagewise"
-    if not chk.scan("hom-jacobiator", ((t, t not in broken) for t in product(range(n0), repeat=4)),
-                    note=note):
-        first = min(broken)
-        stage = next(name for name, tuples in stages if first in tuples)
+    if not chk.scan_zero("hom-jacobiator", (n0,) * 4, broken, note=note):
+        first = min(key[:-1] for key in broken)
+        stage = next(name for name, res in stages if any(key[:-1] == first for key in res))
         chk.amend_note(f"{note}; broke at stage {stage}")
     return chk.report()
 
@@ -598,7 +564,7 @@ def _jacobiator_residuals(L: HomLie2Data):
         ("r3/r4", p_obj + [(1, dj4, "wxyz"), (1, dj3, "wyzx"), (1, dj2, "wyzx")] + neg(q_obj)),
         ("final", left_v1 + neg(right_v1)),
     ]
-    return arrow, equivariance, [(name, _sum(*terms)) for name, terms in stages]
+    return arrow[1], equivariance[1], [(name, _sum(*terms)[1]) for name, terms in stages]
 
 
 def roundtrip_check(obj) -> CheckReport:

@@ -22,6 +22,7 @@ Schemas (field order is also the serialization order):
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -50,6 +51,7 @@ class LeftSymmetricFile:
 
 KINDS = ("hom_lie", "representation", "two_term_hl", "quadratic",
          "crossed_module", "left_symmetric", "symplectic", "hl_morphism")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the only rational strings accepted
 
 
 # --------------------------------------------------------------------------
@@ -59,6 +61,8 @@ KINDS = ("hom_lie", "representation", "two_term_hl", "quadratic",
 def _rational(x, path: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ModelError(f"{path}: expected a rational string or integer, got {type(x).__name__}")
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise ModelError(f"{path}: bad rational {x!r} (expected an integer or \"p/q\")")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:

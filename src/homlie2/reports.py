@@ -9,6 +9,7 @@ consume them programmatically; rendering to text or JSON lives here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 from .errors import CheckFailure
 
@@ -116,6 +117,12 @@ class LawChecker:
                 return False
         self._items.append(CheckItem(law, True, None, note))
         return True
+
+    def scan_zero(self, law: str, dims, residual, note: str = "") -> bool:
+        """Scan the basis tuples over `dims` in lexicographic order; one passes when
+        no key (tuple..., output index) of the residual lhs − rhs starts with it."""
+        failing = {key[:-1] for key in residual}
+        return self.scan(law, ((t, t not in failing) for t in product(*map(range, dims))), note)
 
     def amend_note(self, note: str) -> None:
         """Replace the note of the item added last, e.g. to say where a scan broke."""

@@ -18,10 +18,11 @@ from homlie2.cohomology import (Cochain, Representation, adjoint_representation,
                                 trivial_representation, zero_cochain)
 from homlie2.constructions import sl2_example
 from homlie2.errors import PreconditionError
-from homlie2.exactlin import (F0, F1, Matrix, Vec, det_of, inverse, rank, rank_and_kernel,
-                              rat, vadd, vneg)
+from homlie2.exactlin import (F0, F1, Matrix, Vec, det_of, inverse, is_zero_vec, rank,
+                              rank_and_kernel, rat, vadd, vneg, zero_vec)
 from homlie2.hl2 import HLMorphism, HomLie2Data, TwoTermHL
 from homlie2.homlie import HomLieAlgebra, abelian_algebra
+from homlie2.reports import CheckReport, LawChecker
 
 
 def rnd_frac(rng: random.Random, lo=-3, hi=3) -> Fraction:
@@ -426,10 +427,35 @@ def reference_dual_representation(r: Representation) -> Representation | None:
 
 # --------------------------------------------------------------------------
 # Reference law scans: the per-tuple checks that evaluated every composite
-# term again at each basis tuple.  `check_two_term` and `check_hom_lie2`
-# build these laws once as residual tensors; they must report the same
-# first failing tuple and, for the hom-Jacobiator, the same stage.
+# term again at each basis tuple.  `check_hom_lie`, `check_two_term` and
+# `check_hom_lie2` build these laws once as residual tensors; they must
+# report the same first failing tuple and, for the hom-Jacobiator, the same
+# stage.
 # --------------------------------------------------------------------------
+
+def reference_check_hom_lie(g: HomLieAlgebra) -> CheckReport:
+    """The per-tuple hom-Lie check: every pair and triple evaluated afresh,
+    each hom-Jacobi sum accumulated from Fraction zeros."""
+    n = g.dim
+    chk = LawChecker("hom_lie")
+    chk.scan("skew", (((i, j), g.bracket[i][j] == tuple(-x for x in g.bracket[j][i]))
+                      for i in range(n) for j in range(n)))
+    phi_cols = [g.phi.column(j) for j in range(n)]
+    chk.scan("phi-morphism",
+             (((i, j), g.phi_vec(g.bracket[i][j]) == g.bracket_vec(phi_cols[i], phi_cols[j]))
+              for i in range(n) for j in range(n)))
+
+    def jacobi(i, j, k):
+        total = zero_vec(n)
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            term = g.bracket_vec(phi_cols[a], g.bracket[b][c])
+            total = vadd(total, term)
+        return is_zero_vec(total)
+
+    chk.scan("hom-jacobi", (((i, j, k), jacobi(i, j, k))
+                            for i in range(n) for j in range(n) for k in range(n)))
+    return chk.report()
+
 
 def _first_failing(tuples, ok):
     return next((t for t in tuples if not ok(*t)), None)

@@ -8,6 +8,7 @@ or a changed scan must fail these tests, not the traced run.
 
 import importlib
 import importlib.util
+import random
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -19,6 +20,7 @@ from helpers import shift_strict, sl2_sum
 from homlie2.constructions import sl2_example, string_from_semisimple
 from homlie2.exactlin import Matrix
 from homlie2.hl2 import check_hom_lie2, check_two_term, functor_T
+from homlie2.homlie import HomLieAlgebra, check_hom_lie
 from homlie2.reports import LawChecker
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -107,3 +109,55 @@ def test_scans_consume_the_benchmark_case_counts(make, monkeypatch):
     for subject, expected in (("two_term_hl", oracles.two_term_cases(v.dim0, v.dim1)),
                               ("hom_lie2", oracles.hom_lie2_cases(v.dim0, v.dim1))):
         assert {law: n for (s, law), n in counts.items() if s == subject} == expected
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_check_hom_lie_consumes_the_benchmark_case_counts(c, monkeypatch):
+    oracles = load_bench_module("oracles")
+    g = sl2_sum(c)
+    counts = count_scanned_cases(monkeypatch)
+    assert check_hom_lie(g).ok
+    assert {law: n for (s, law), n in counts.items() if s == "hom_lie"} == \
+        oracles.hom_lie_cases(g.dim)
+
+
+def integral_candidate(rng: random.Random) -> tuple[list, list]:
+    """A small int bracket and twist: sparse random relations, mostly skew,
+    or sl(2)^1 / sl(2)^2 with one entry changed."""
+    if rng.random() < 0.25:
+        g = sl2_sum(rng.choice((1, 2)))
+        n = g.dim
+        br = [[[int(x) for x in v] for v in row] for row in g.bracket]
+        phi = [[int(x) for x in row] for row in g.phi.data]
+        if rng.random() < 0.5:
+            br[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1, 2))
+        else:
+            phi[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1))
+        return br, phi
+    n = rng.randint(1, 4)
+    br = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for _ in range(rng.randrange(4)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        v = [rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
+        br[i][j] = v
+        br[j][i] = [-x for x in v] if rng.random() < 0.9 else list(v)
+    if rng.random() < 0.5:
+        phi = [[rng.choice((1, -1, 2)) if i == j else 0 for j in range(n)] for i in range(n)]
+    else:
+        phi = [[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(n)]
+    return br, phi
+
+
+def test_check_hom_lie_matches_the_benchmark_oracle():
+    """`bench/oracles.py` checks the hom-Lie laws with its own plain-int code."""
+    oracles = load_bench_module("oracles")
+    rng = random.Random(8)
+    verdicts = set()
+    for _ in range(400):
+        br, phi = integral_candidate(rng)
+        n = len(phi)
+        report = check_hom_lie(HomLieAlgebra(n, br, Matrix(n, n, phi)))
+        got = [(it.law, it.passed, it.witness) for it in report.items]
+        assert got == oracles.hom_lie_items(br, phi), (br, phi)
+        verdicts |= {(law, ok) for law, ok, _ in got}
+    assert len(verdicts) == 6  # every law both passes and fails somewhere

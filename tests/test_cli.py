@@ -154,6 +154,26 @@ def test_bad_json_is_input_error(tmp_path):
     assert run("check", str(p)) == 2
 
 
+@pytest.mark.parametrize("literal", ["1.5", "1e9999999"])
+def test_rational_outside_the_documented_forms_is_input_error(literal, tmp_path, capsys,
+                                                              monkeypatch):
+    """Only integers and "p/q" are rationals.  The literal is refused before
+    Fraction() sees it, so an exponent literal is never expanded."""
+    from homlie2 import modelfile
+    real = modelfile.Fraction
+
+    def guarded(x, *rest):
+        assert x != literal, f"Fraction({x!r}) was called"
+        return real(x, *rest)
+
+    monkeypatch.setattr(modelfile, "Fraction", guarded)
+    p = tmp_path / "bad.json"
+    p.write_text((FIX / "sl2.json").read_text().replace('"-1"', f'"{literal}"', 1))
+    assert run("check", str(p)) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and f"$.bracket[0][1][2]: bad rational '{literal}'" in err
+
+
 def test_unknown_subcommand_usage_error():
     assert run("frobnicate") == 2
 

@@ -2,9 +2,9 @@
 
 `contract` must equal a dense Fraction einsum, store no zero and hold only
 ints and Fractions.  On perturbed structures, the residual-tensor laws of
-`check_two_term` and `check_hom_lie2` must report the verdict, the first
-failing basis tuple and the broken hom-Jacobiator stage that the per-tuple
-scans in `tests/helpers.py` find.
+`check_hom_lie`, `check_two_term` and `check_hom_lie2` must report the
+verdict, the first failing basis tuple and the broken hom-Jacobiator stage
+that the per-tuple scans in `tests/helpers.py` find.
 """
 
 import dataclasses
@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (identity_complex, random_invertible, reference_hom_lie2_witnesses,
+from helpers import (heisenberg, identity_complex, nilpotent4, random_invertible,
+                     reference_check_hom_lie, reference_hom_lie2_witnesses,
                      reference_two_term_witnesses, shift_strict, sl2_sum, transport_two_term)
 from homlie2.constructions import sl2_example, string_from_semisimple
-from homlie2.exactlin import Matrix, contract
+from homlie2.exactlin import Matrix, contract, inverse
 from homlie2.hl2 import HomLie2Data, TwoTermHL, check_hom_lie2, check_two_term, functor_T
+from homlie2.homlie import HomLieAlgebra, abelian_algebra, check_hom_lie
 
 F = Fraction
 
@@ -190,3 +192,75 @@ def test_each_stage_breaks_first_where_the_reference_says(field, position, stage
     the string's `final` in tests/test_hl2.py, every stage breaks first somewhere."""
     L = perturbed(functor_T(identity_complex(sl2_example())), field, position, 1)
     assert assert_hom_lie2_agrees(L)["stage"] == stage
+
+
+# -- check_hom_lie against the per-tuple reference ---------------------------------
+
+VALID_ALGEBRAS = (
+    lambda: abelian_algebra(0), lambda: abelian_algebra(1, Matrix.diagonal([F(-2, 3)])),
+    lambda: abelian_algebra(2, Matrix(2, 2, [[0, 1], [1, 0]])), heisenberg,
+    lambda: heisenberg(2, -1), nilpotent4, lambda: nilpotent4(-1, 1), sl2_example,
+)
+SCALES = (1, -1, 2, F(1, 3), F(-3, 2))
+
+
+def transport_algebra(g: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:
+    """g in the basis given by the columns of p."""
+    q, cols = inverse(p), p.columns()
+    bracket = [[q.apply(g.bracket_vec(cols[i], cols[j])) for j in range(g.dim)]
+               for i in range(g.dim)]
+    return HomLieAlgebra(g.dim, bracket, q * g.phi * p)
+
+
+def new_basis(rng: random.Random, n: int) -> Matrix:
+    """An invertible matrix with non-integral entries in general."""
+    return random_invertible(rng, n) * Matrix.diagonal([rng.choice(SCALES) for _ in range(n)])
+
+
+@st.composite
+def hom_lie_candidates(draw):
+    """A random bracket and twist of dim 0..4 (skew or not), or a valid
+    algebra in a random basis; then, maybe, one entry changed."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 4))
+        bracket = [[[draw(entries) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        if draw(st.booleans()):
+            for i in range(n):
+                bracket[i][i] = [F(0)] * n
+                for j in range(i):
+                    bracket[i][j] = [-x for x in bracket[j][i]]
+        g = HomLieAlgebra(n, bracket, Matrix(n, n, [[draw(entries) for _ in range(n)]
+                                                     for _ in range(n)]))
+    else:
+        g = draw(st.sampled_from(VALID_ALGEBRAS))()
+        if g.dim:
+            g = transport_algebra(g, new_basis(random.Random(draw(st.integers(0, 10 ** 6))), g.dim))
+    if g.dim and draw(st.booleans()):
+        g = perturbed(g, draw(st.sampled_from(("bracket", "phi"))), draw(st.integers(0, 10 ** 6)),
+                      draw(st.sampled_from(NONZERO)))
+    return g
+
+
+@given(hom_lie_candidates())
+@settings(max_examples=300, deadline=None)
+def test_check_hom_lie_matches_the_per_tuple_reference(g):
+    assert check_hom_lie(g) == reference_check_hom_lie(g)
+
+
+def test_hom_lie_grid_passes_and_fails_every_law():
+    """Valid algebras in new bases pass; seeded single-entry changes agree
+    with the reference and make every law fail somewhere."""
+    rng = random.Random(3)
+    failed = set()
+    for k in range(120):
+        g = VALID_ALGEBRAS[k % len(VALID_ALGEBRAS)]()
+        if g.dim:
+            g = transport_algebra(g, new_basis(rng, g.dim))
+        assert check_hom_lie(g).ok
+        if g.dim:
+            g = perturbed(g, rng.choice(("bracket", "phi")), rng.randrange(10 ** 6),
+                          rng.choice(NONZERO))
+        report = check_hom_lie(g)
+        assert report == reference_check_hom_lie(g)
+        failed |= {item.law for item in report.failures()}
+    assert failed == {"skew", "phi-morphism", "hom-jacobi"}

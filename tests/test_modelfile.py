@@ -1,3 +1,5 @@
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,25 @@ def test_zero_denominator_rejected():
     bad = sl2.replace('"-1"', '"1/0"', 1)
     with pytest.raises(ModelError, match="bad rational"):
         parse_model(bad)
+
+
+@pytest.mark.parametrize("literal", [
+    "1.5", "1e3", "1E3", "1_000", " 7 ", "7\n", "+3", "1/-2", "1/2/3", "0x10", "", "-", "/2",
+    "\u0663", "inf", "nan",
+])
+def test_only_integers_and_p_over_q_are_rationals(literal):
+    sl2 = (Path(__file__).parent.parent / "fixtures" / "sl2.json").read_text()
+    bad = sl2.replace('"-1"', json.dumps(literal), 1)
+    with pytest.raises(ModelError, match=r"\$\.bracket\[0\]\[1\]\[2\]: bad rational"):
+        parse_model(bad)
+
+
+@pytest.mark.parametrize("literal, value", [("-0", 0), ("007", 7), ("6/4", Fraction(3, 2)),
+                                            ("-12/3", -4)])
+def test_documented_rational_forms_are_accepted(literal, value):
+    sl2 = (Path(__file__).parent.parent / "fixtures" / "sl2.json").read_text()
+    g = parse_model(sl2.replace('"-1"', json.dumps(literal), 1))
+    assert g.bracket[0][1][2] == value
 
 
 def test_syntax_error_reports_line_and_column():
