@@ -373,7 +373,7 @@ def class_is_trivial(f: Cochain, r: Representation) -> bool:
         raise PreconditionError("class_is_trivial requires a hom-cochain")
     if f.degree < 1:
         raise InputError("class_is_trivial is for degree >= 1")
-    if not coboundary(f, r).is_zero():
+    if not is_zero_vec(coboundary_matrix(r, f.degree).apply(f.coords())):
         raise PreconditionError("class_is_trivial requires a closed cochain (df = 0)")
     return f.is_zero() or solve_linear(_exact_columns(r, f.degree), f.coords()) is not None
 

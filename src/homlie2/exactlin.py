@@ -17,9 +17,10 @@ otherwise.  A `Tensor` (the nested tuples of structure constants) and a
 `Matrix` (by columns) build this form of their leaves on first use and keep
 it, and the evaluators (`Matrix.apply`, `bilinear_eval` in `homlie`,
 `trilinear_eval` in `hl2`) walk only nonzero inputs against it, adding into
-int zeros.  Whole composite tensors are built the same way: `dok` gives a
-tensor or matrix as a dict of keys over its nonzero entries, and `contract`
-sums products of such tensors joined on named slots, einsum-style.  The rule
+int zeros.  The laws' residual tensors are built the same way: `dok` gives
+a tensor or matrix as a dict of keys over its nonzero entries, `_ap`
+substitutes expressions into a tensor's inputs one slot at a time, and
+`_sum` adds signed terms with renamed slots.  The rule
 is "int where integral": an integral computation runs on Python ints, and a
 non-integral entry turns into Fractions only the values it touches.  Nothing
 is divided, int–Fraction arithmetic is exact and ``3 == Fraction(3)`` with
@@ -148,74 +149,52 @@ def _dok(sp) -> dict:
     return {(i, *key): c for i, sub in enumerate(sp) for key, c in _dok(sub).items()}
 
 
-def contract(out, *terms) -> dict:
-    """Σ coefficient · (product of factors), einsum-style, on dict-of-keys tensors.
-
-    A term is (coefficient, [(slots, tensor), ...]), `slots` naming the key
-    positions of its tensor in order.  Factors are joined from the left on
-    the slots they share; a slot that neither `out` nor a later factor names
-    is summed over once joined.  The result is keyed in the order of `out`
-    and holds no zero.  Nothing is divided: integral data stays on ints.
-    """
-    acc: dict = {}
-    for coef, factors in terms:
-        slots, t = factors[0]
-        for k, (bslots, b) in enumerate(factors[1:], 2):
-            slots, t = _join(slots, t, bslots, b, set(out).union(*(s for s, _ in factors[k:])))
-        pick = [slots.index(s) for s in out]
-        pick = None if pick == list(range(len(slots))) else _picker(pick)
-        for key, v in t.items():
-            key = pick(key) if pick else key
-            acc[key] = acc.get(key, 0) + coef * v
-    return {key: v for key, v in acc.items() if v}
-
-
-def _picker(positions):
-    """key -> the tuple of its entries at `positions`."""
-    if len(positions) == 1:
-        return lambda key, p=positions[0]: (key[p],)
-    return itemgetter(*positions) if positions else lambda key: ()
-
-
-def _join(aslots, a: dict, bslots, b: dict, keep) -> tuple:
-    """The product of a and b over their shared slots, keeping the slots in `keep`."""
-    shared = [s for s in aslots if s in bslots]
-    a_on, b_on = (_picker([slots.index(s) for s in shared]) for slots in (aslots, bslots))
-    a_kept = [p for p, s in enumerate(aslots) if s in keep]
-    b_kept = [p for p, s in enumerate(bslots) if s in keep and s not in shared]
-    head_of, tail_of = _picker(a_kept), _picker(b_kept)
-    groups: dict = {}
-    for key, v in b.items():
-        groups.setdefault(b_on(key), []).append((tail_of(key), v))
-    acc: dict = {}
-    for key, u in a.items():
-        head = head_of(key)
-        for tail, v in groups.get(a_on(key), ()):
-            acc[head + tail] = acc.get(head + tail, 0) + u * v
-    return (*(aslots[p] for p in a_kept), *(bslots[p] for p in b_kept)), acc
-
-
 # The residual tensors (lhs − rhs) of the laws are built from expressions:
-# (slot letters, dok tensor keyed by those slots in alphabetical order, then
+# (slot letters in sorted order, dok tensor keyed by one index per slot, then
 # the output index).  A composite such as l3(l2(a,b), φ0 c, φ0 d) is built
 # once in the slots a, b, c, d; each term of a law renames its slots.
 
 def _ap(t: dict, *xs):
     """The multilinear map t (see `dok`) applied to its arguments, each a
-    slot letter or an expression whose output feeds that input."""
-    names = [x if isinstance(x, str) else k for k, x in enumerate(xs)]
-    factors = [((*x[0], k), x[1]) for k, x in enumerate(xs) if not isinstance(x, str)]
-    args = "".join(sorted({s for x in xs for s in (x if isinstance(x, str) else x[0])}))
-    if not factors and "".join(names) == args:
-        return args, t
-    return args, contract(args + "_", (1, [((*names, "_"), t)] + factors))
+    slot letter or an expression whose output feeds that input.  The
+    arguments name distinct slots; each expression is substituted into its
+    input in turn, from the left, and the result is keyed as `_sum` keys it."""
+    slots = ""
+    for x in xs:
+        if isinstance(x, str):
+            slots += x
+            continue
+        xslots, e = x
+        by_out: dict = {}
+        for key, c in e.items():
+            by_out.setdefault(key[-1], []).append((key[:-1], c))
+        p = len(slots)
+        acc: dict = {}
+        for key, u in t.items():
+            head, tail = key[:p], key[p + 1:]
+            for sub, c in by_out.get(key[p], ()):
+                k = head + sub + tail
+                acc[k] = acc.get(k, 0) + u * c
+        t, slots = acc, slots + xslots
+    return _sum((1, (slots, t)))
 
 
 def _sum(*terms):
     """Σ sign · expr over terms (sign, expr) or (sign, expr, names), where
-    `names` renames expr's slots; the result has the first term's slots."""
-    named = [(t[0], t[2] if len(t) > 2 else t[1][0], t[1][1]) for t in terms]
-    return named[0][1], contract(named[0][1] + "_", *((s, [(n + "_", t)]) for s, n, t in named))
+    `names` renames expr's slots.  Every term names the same slots, and the
+    result is keyed by them in sorted order; it holds no zero."""
+    args, acc = None, {}
+    for sign, (slots, t), *rename in terms:
+        names = rename[0] if rename else slots
+        if args is None:
+            args = "".join(sorted(names))
+        elif sorted(names) != list(args):
+            raise ValueError(f"_sum: slots {names!r} and {args!r} differ")
+        pick = None if names == args else itemgetter(*map(names.index, args), len(names))
+        for key, v in t.items():
+            key = pick(key) if pick else key
+            acc[key] = acc.get(key, 0) + sign * v
+    return args, {key: v for key, v in acc.items() if v}
 
 
 class Matrix:

@@ -25,12 +25,12 @@ including the hom-Jacobiator coherence diagram, each of whose stages (every
 intermediate object against the diagram's stated value) is its own
 identity; a failure names the stage that broke.
 
-The laws in three or four basis vectors ((h), (i), (j), l3-equivariance and
-the Jacobiator's laws on objects) are built once each as a residual tensor
-lhs − rhs by `exactlin.contract`, and scanned over the basis tuples as
-lookups.  The other laws run per tuple on the sparse kernel.  Both run on
-Python ints where the data is integral; the answers are those of Fraction
-arithmetic.
+(h), (i), (j), l3-equivariance, every arithmetic law of `check_hom_lie2`
+but `bracket-interchange`, and the laws of f2 in `check_hl_morphism` are
+built once each as a residual tensor lhs − rhs with `exactlin._ap`/`_sum`
+and scanned over the basis tuples as lookups.  The skew laws, (d)-(g) and
+`bracket-interchange` run per tuple.  Both run on Python ints where the
+data is integral; the answers are those of Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def check_two_term(v: TwoTermHL) -> CheckReport:
     """Run conditions (a)-(j) plus the twist compatibilities, with witnesses.
 
     (h), (i), (j) and l3-equivariance are built once as residual tensors
-    by `contract` and scanned as lookups."""
+    and scanned as lookups."""
     n0, n1 = v.dim0, v.dim1
     phi0_cols = [v.phi0.column(t) for t in range(n0)]
     phi1_cols = [v.phi1.column(t) for t in range(n1)]
@@ -228,47 +228,31 @@ def identity_hl_morphism(v: TwoTermHL) -> HLMorphism:
 
 
 def check_hl_morphism(m: HLMorphism) -> CheckReport:
+    """The chain and twist laws of (f0, f1, f2) as matrix equalities, f2's
+    skewness per pair, and its four laws with l2 and l3 as residual tensors."""
     src, tgt = m.source, m.target
     n0, n1 = src.dim0, src.dim1
-    f0_cols = [m.f0.column(i) for i in range(n0)]
-    f1_cols = [m.f1.column(a) for a in range(n1)]
-    sphi0_cols = [src.phi0.column(i) for i in range(n0)]
     chk = LawChecker("hl_morphism")
     chk.add_matrix_eq("chain-map", m.f0 * src.d, tgt.d * m.f1)
     chk.add_matrix_eq("phi0-intertwined", m.f0 * src.phi0, tgt.phi0 * m.f0)
     chk.add_matrix_eq("phi1-intertwined", m.f1 * src.phi1, tgt.phi1 * m.f1)
     chk.scan("f2-skew", (((i, j), m.f2[i][j] == vneg(m.f2[j][i]))
                          for i in range(n0) for j in range(n0)))
-    chk.scan("f2-equivariance",
-             (((i, j), m.f2_eval(sphi0_cols[i], sphi0_cols[j]) == tgt.phi1.apply(m.f2[i][j]))
-              for i in range(n0) for j in range(n0)))
-    chk.scan("bracket-defect",
-             (((i, j),
-               tgt.d.apply(m.f2[i][j]) ==
-               tuple(p - q for p, q in zip(m.f0.apply(src.l2_00[i][j]),
-                                           tgt.l2_vv(f0_cols[i], f0_cols[j]))))
-              for i in range(n0) for j in range(n0)))
-    chk.scan("action-defect",
-             (((i, a),
-               m.f2_eval(src.basis0(i), src.d.column(a)) ==
-               tuple(p - q for p, q in zip(m.f1.apply(src.l2_01[i][a]),
-                                           tgt.l2_vm(f0_cols[i], f1_cols[a]))))
-              for i in range(n0) for a in range(n1)))
-
-    def jac_defect(i, j, k):
-        f0phi = [m.f0.apply(sphi0_cols[t]) for t in (i, j, k)]
-        lhs = vneg(tgt.l2_vm(f0phi[2], m.f2[i][j]))              # l2'(f2(x,y), f0 phi0 z)
-        lhs = vadd(lhs, m.f2_eval(src.l2_00[i][j], sphi0_cols[k]))
-        lhs = vadd(lhs, m.f1.apply(src.l3[i][j][k]))
-        rhs = tgt.l3_eval(f0_cols[i], f0_cols[j], f0_cols[k])
-        rhs = vadd(rhs, tgt.l2_vm(f0phi[0], m.f2[j][k]))
-        rhs = vadd(rhs, vneg(tgt.l2_vm(f0phi[1], m.f2[i][k])))   # l2'(f2(x,z), f0 phi0 y)
-        rhs = vadd(rhs, m.f2_eval(sphi0_cols[i], src.l2_00[j][k]))
-        rhs = vadd(rhs, m.f2_eval(src.l2_00[i][k], sphi0_cols[j]))
-        return lhs == rhs
-
-    chk.scan("jacobiator-defect", (((i, j, k), jac_defect(i, j, k))
-                                   for i in range(n0) for j in range(n0) for k in range(n0)))
+    f0, f1, f2, phi, l2, act, l2t, act_t = (partial(_ap, dok(t)) for t in (
+        m.f0, m.f1, m.f2, src.phi0, src.l2_00, src.l2_01, tgt.l2_00, tgt.l2_01))
+    chk.scan_zero("f2-equivariance", (n0, n0), _sum(
+        (1, f2(phi("a"), phi("b"))), (-1, _ap(dok(tgt.phi1), f2("a", "b"))))[1])
+    chk.scan_zero("bracket-defect", (n0, n0), _sum(
+        (1, _ap(dok(tgt.d), f2("a", "b"))), (-1, f0(l2("a", "b"))),
+        (1, l2t(f0("a"), f0("b"))))[1])
+    chk.scan_zero("action-defect", (n0, n1), _sum(
+        (1, f2("a", _ap(dok(src.d), "b"))), (-1, f1(act("a", "b"))),
+        (1, act_t(f0("a"), f1("b"))))[1])
+    t = act_t(f0(phi("a")), f2("b", "c"))                      # l2'(f0 φ0 a, f2(b,c))
+    chk.scan_zero("jacobiator-defect", (n0,) * 3, _sum(
+        (-1, t, "cab"), (1, f2(l2("a", "b"), phi("c"))), (1, f1(("abc", dok(src.l3)))),
+        (-1, _ap(dok(tgt.l3), f0("a"), f0("b"), f0("c"))), (-1, t), (1, t, "bac"),
+        (-1, f2(phi("a"), l2("b", "c"))), (-1, f2(l2("a", "c"), phi("b"))))[1])
     return chk.report()
 
 
@@ -336,10 +320,6 @@ class HomLie2Data:
     def jac_mor(self, x: Vec, y: Vec, z: Vec):
         """J_{x,y,z} as an arrow: source [[x,y],Phi0(z)], V1-part jac(x,y,z)."""
         return (self.b_obj(self.b_obj(x, y), self.phi_obj(z)), self.jac_eval(x, y, z))
-
-
-def _mor_add(a, b):
-    return (vadd(a[0], b[0]), vadd(a[1], b[1]))
 
 
 def functor_T(v: TwoTermHL) -> HomLie2Data:
@@ -412,26 +392,20 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
     tvs = L.tvs
     n0, n1 = tvs.dim0, tvs.dim1
     nm = n0 + n1
-    mor_basis = list(tvs.mor_basis())
-    obj_basis = [unit_vec(n0, i) for i in range(n0)]
-    v1_basis = [unit_vec(n1, a) for a in range(n1)]
+    laws, stages = _hom_lie2_residuals(L)
     chk = LawChecker("hom_lie2")
 
     chk.scan("bracket-skew",
              (((p, q), L.bracket_mor[p][q] == vneg(L.bracket_mor[q][p]))
               for p in range(nm) for q in range(nm)))
-    chk.scan("bracket-source",
-             (((p, q), tvs.source(L.b_mor(mu, nu)) ==
-               L.b_obj(tvs.source(mu), tvs.source(nu)))
-              for p, mu in enumerate(mor_basis) for q, nu in enumerate(mor_basis)))
-    chk.scan("bracket-target",
-             (((p, q), tvs.target(L.b_mor(mu, nu)) ==
-               L.b_obj(tvs.target(mu), tvs.target(nu)))
-              for p, mu in enumerate(mor_basis) for q, nu in enumerate(mor_basis)))
-    chk.scan("bracket-identities",
-             (((i, j), L.b_mor(tvs.ident(x), tvs.ident(y)) ==
-               tvs.ident(L.b_obj(x, y)))
-              for i, x in enumerate(obj_basis) for j, y in enumerate(obj_basis)))
+    chk.scan_zero("bracket-source", (nm, nm), laws["bracket-source"])
+    chk.scan_zero("bracket-target", (nm, nm), laws["bracket-target"])
+    chk.scan_zero("bracket-identities", (n0, n0), laws["bracket-identities"])
+
+    # per tuple: its sides split the arrows (x, m + m') and (y, n + n') into parts
+    # that depend on different subsets of the six indices, so no one residual
+    obj_basis = [unit_vec(n0, i) for i in range(n0)]
+    v1_basis = [unit_vec(n1, a) for a in range(n1)]
 
     def interchange(i, a, ap, j, b, bp):
         x, y = obj_basis[i], obj_basis[j]
@@ -448,43 +422,19 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
               for j in range(n0) for b in range(n1) for bp in range(n1)),
              note="vertical composition is preserved")
 
-    chk.scan("phi-source",
-             (((p,), tvs.source(L.phi_mor(mu)) == L.Phi0.apply(tvs.source(mu)))
-              for p, mu in enumerate(mor_basis)))
-    chk.scan("phi-target",
-             (((p,), tvs.target(L.phi_mor(mu)) == L.Phi0.apply(tvs.target(mu)))
-              for p, mu in enumerate(mor_basis)))
-    chk.scan("phi-identities",
-             (((i,), L.phi_mor(tvs.ident(x)) == tvs.ident(L.Phi0.apply(x)))
-              for i, x in enumerate(obj_basis)))
-    chk.scan("phi-bracket",
-             (((p, q), L.phi_mor(L.b_mor(mu, nu)) ==
-               L.b_mor(L.phi_mor(mu), L.phi_mor(nu)))
-              for p, mu in enumerate(mor_basis) for q, nu in enumerate(mor_basis)))
+    chk.scan_zero("phi-source", (nm,), laws["phi-source"])
+    chk.scan_zero("phi-target", (nm,), laws["phi-target"])
+    chk.scan_zero("phi-identities", (n0,), laws["phi-identities"])
+    chk.scan_zero("phi-bracket", (nm, nm), laws["phi-bracket"])
 
     chk.scan("jacobiator-skew",
              (((i, j, k), L.jac[i][j][k] == vneg(L.jac[j][i][k])
                and L.jac[i][j][k] == vneg(L.jac[i][k][j]))
               for i in range(n0) for j in range(n0) for k in range(n0)))
-
-    arrow, equivariance, stages = _jacobiator_residuals(L)
-    chk.scan_zero("jacobiator-arrow", (n0,) * 3, arrow, note="J lands where the diagram says")
-    chk.scan_zero("jacobiator-equivariance", (n0,) * 3, equivariance)
-
-    def natural(p, q, r):
-        mu, nu, rho = mor_basis[p], mor_basis[q], mor_basis[r]
-        f = L.b_mor(L.b_mor(mu, nu), L.phi_mor(rho))
-        g = _mor_add(L.b_mor(L.phi_mor(mu), L.b_mor(nu, rho)),
-                     L.b_mor(L.b_mor(mu, rho), L.phi_mor(nu)))
-        j_t = L.jac_mor(tvs.target(mu), tvs.target(nu), tvs.target(rho))
-        j_s = L.jac_mor(tvs.source(mu), tvs.source(nu), tvs.source(rho))
-        if tvs.target(f) != j_t[0] or tvs.target(j_s) != g[0]:
-            return False
-        return (f[0], vadd(f[1], j_t[1])) == (j_s[0], vadd(j_s[1], g[1]))
-
-    chk.scan("jacobiator-naturality", (((p, q, r), natural(p, q, r))
-                                       for p in range(nm) for q in range(nm)
-                                       for r in range(nm)))
+    chk.scan_zero("jacobiator-arrow", (n0,) * 3, laws["jacobiator-arrow"],
+                  note="J lands where the diagram says")
+    chk.scan_zero("jacobiator-equivariance", (n0,) * 3, laws["jacobiator-equivariance"])
+    chk.scan_zero("jacobiator-naturality", (nm,) * 3, laws["jacobiator-naturality"])
 
     broken = set().union(*(residual for _, residual in stages))
     note = "coherence diagram, both composites compared stagewise"
@@ -495,33 +445,62 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
     return chk.report()
 
 
-def _jacobiator_residuals(L: HomLie2Data):
-    """The residuals of the Jacobiator's laws on objects, from the categorical
-    data alone: `jacobiator-arrow` and `jacobiator-equivariance` in x, y, z,
-    and each stage of the hom-Jacobiator coherence diagram in w, x, y, z.
+def _hom_lie2_residuals(L: HomLie2Data):
+    """The residuals (lhs − rhs) of the categorical laws, from the categorical
+    data alone: {law: residual} for the laws on arrows and identities and
+    the Jacobiator's laws, and each stage of the hom-Jacobiator coherence
+    diagram in w, x, y, z.  Arrows are in coordinates V0 ⊕ V1.
 
-    Arrows are in coordinates V0 ⊕ V1.  A stage compares an intermediate
-    object with the value the diagram prescribes ('+1' summands are
-    identities, with no V1-part): the targets of the left composite's arrows
-    (top, n2, n3), the right composite's source and targets (r1-source, r1,
-    r2, r3/r4), and at last the two V1-parts (final).
+    A stage compares an intermediate object with the value the diagram
+    prescribes ('+1' summands are identities, with no V1-part): the targets
+    of the left composite's arrows (top, n2, n3), the right composite's
+    source and targets (r1-source, r1, r2, r3/r4), and at last the two
+    V1-parts (final).
     """
     n0, n1 = L.tvs.dim0, L.tvs.dim1
     B, BM, J, D = dok(L.bracket_obj), dok(L.bracket_mor), dok(L.jac), dok(L.tvs.d)
     P, P2, PM = dok(L.Phi0), dok(L.Phi0 * L.Phi0), dok(L.Phi1)
-    obj = {(i, i): 1 for i in range(n0)}       # i: V0 -> arrows, and the source back
-    inc1 = {(a, n0 + a): 1 for a in range(n1)}  # V1 -> arrows
-    v1 = {(n0 + a, a): 1 for a in range(n1)}    # arrows -> V1-part
-    br, phi = partial(_ap, B), partial(_ap, P)
+    # the arrow maps: i(x) = (x, 0) from V0, which read backwards is the
+    # source; the target (x, m) -> x + dm; the inclusion of V1 and the V1-part
+    ident = {(i, i): 1 for i in range(n0)}
+    target = {**ident, **{(n0 + a, i): c for (a, i), c in D.items()}}
+    inc1 = {(a, n0 + a): 1 for a in range(n1)}
+    v1 = {(n0 + a, a): 1 for a in range(n1)}
+    br, bm, phi, pm = (partial(_ap, t) for t in (B, BM, P, PM))
+    obj = src = partial(_ap, ident)
+    tgt = partial(_ap, target)
 
     def jac_arrow(x, y, z):     # J_{x,y,z}, with source [[x,y], Phi0 z]
-        src = _ap(obj, br(br(x, y), phi(z)))
-        return _sum((1, src), (1, _ap(inc1, _ap(J, x, y, z)), src[0]))
+        return _sum((1, obj(br(br(x, y), phi(z)))), (1, _ap(inc1, _ap(J, x, y, z))))
 
-    arrow = _sum((1, br(br("x", "y"), phi("z"))), (1, _ap(D, ("xyz", J))),
-                 (-1, br(phi("x"), br("y", "z"))), (-1, br(br("x", "z"), phi("y"))))
-    equivariance = _sum((1, jac_arrow(phi("x"), phi("y"), phi("z"))),
-                        (-1, _ap(PM, jac_arrow("x", "y", "z"))))
+    def residual(*terms):
+        return _sum(*terms)[1]
+
+    # naturality: f = [[a,b], Φc] then J at the targets equals J at the sources
+    # then g = [Φa, [b,c]] + [[a,c], Φb]; both pairs compose, with equal results
+    f = bm(bm("a", "b"), pm("c"))
+    g = _sum((1, bm(pm("a"), bm("b", "c"))), (1, bm(bm("a", "c"), pm("b"))))
+    ta, tb, tc = tgt("a"), tgt("b"), tgt("c")
+    j_s = jac_arrow(src("a"), src("b"), src("c"))
+    laws = {
+        "bracket-source": residual((1, src(bm("a", "b"))), (-1, br(src("a"), src("b")))),
+        "bracket-target": residual((1, tgt(bm("a", "b"))), (-1, br(tgt("a"), tgt("b")))),
+        "bracket-identities": residual((1, bm(obj("a"), obj("b"))), (-1, obj(br("a", "b")))),
+        "phi-source": residual((1, src(pm("a"))), (-1, phi(src("a")))),
+        "phi-target": residual((1, tgt(pm("a"))), (-1, phi(tgt("a")))),
+        "phi-identities": residual((1, pm(obj("a"))), (-1, obj(phi("a")))),
+        "phi-bracket": residual((1, pm(bm("a", "b"))), (-1, bm(pm("a"), pm("b")))),
+        "jacobiator-arrow": residual(
+            (1, br(br("x", "y"), phi("z"))), (1, _ap(D, ("xyz", J))),
+            (-1, br(phi("x"), br("y", "z"))), (-1, br(br("x", "z"), phi("y")))),
+        "jacobiator-equivariance": residual((1, jac_arrow(phi("x"), phi("y"), phi("z"))),
+                                            (-1, pm(jac_arrow("x", "y", "z")))),
+        "jacobiator-naturality": set().union(
+            residual((1, tgt(f)), (-1, br(br(ta, tb), phi(tc)))),
+            residual((1, tgt(j_s)), (-1, src(g))),
+            residual((1, f), (1, _ap(inc1, _ap(J, ta, tb, tc))), (-1, j_s),
+                     (-1, _ap(inc1, _ap(v1, g))))),
+    }
 
     # the composites of the diagram, each built once in the slots a, b, c, d
     ab, sq_a, sq_d = br("a", "b"), _ap(P2, "a"), _ap(P2, "d")
@@ -532,9 +511,9 @@ def _jacobiator_residuals(L: HomLie2Data):
     o5 = br(br(phi("a"), phi("b")), phi(br("c", "d")))      # [[φa, φb], φ[c,d]]
     j1 = _ap(J, ab, phi("c"), phi("d"))                     # J_{[a,b], φc, φd}
     j2 = _ap(J, phi("a"), br("b", "c"), phi("d"))           # J_{φa, [b,c], φd}
-    r = _ap(BM, jac_arrow("a", "b", "c"), _ap(obj, sq_d))   # [J_{a,b,c}, i(φ²d)]
+    r = bm(jac_arrow("a", "b", "c"), obj(sq_d))             # [J_{a,b,c}, i(φ²d)]
     j3 = _ap(v1, r)
-    j4 = _ap(v1, _ap(BM, _ap(obj, sq_a), jac_arrow("b", "c", "d")))  # [i(φ²a), J_{b,c,d}]
+    j4 = _ap(v1, bm(obj(sq_a), jac_arrow("b", "c", "d")))   # [i(φ²a), J_{b,c,d}]
     dj1, dj2, dj3, dj4 = (_ap(D, j) for j in (j1, j2, j3, j4))
 
     def neg(terms):
@@ -542,7 +521,7 @@ def _jacobiator_residuals(L: HomLie2Data):
 
     # left/top composite: J_{[w,x],φy,φz} from [[[w,x],φy],φ²z] to `top`,
     # then [J_{w,x,z}, φ²y] to m_obj, then J_{φw,[x,z],φy} + J_{[w,z],φx,φy} to q_obj
-    src = [(1, o1, "wxyz")]
+    start = [(1, o1, "wxyz")]
     top = [(1, o2, "wxyz"), (1, o1, "wxzy")]
     m_obj = [(1, o2, "wxyz"), (1, o3, "wxzy"), (1, o1, "wzxy")]
     q_obj = [(1, o2, "wxyz"), (1, o4, "wxzy"), (1, o5, "wyxz"), (1, o2, "wzxy"),
@@ -555,16 +534,16 @@ def _jacobiator_residuals(L: HomLie2Data):
     right_v1 = [(1, j3, "wxyz"), (1, j2, "wxyz"), (1, j1, "wyxz"), (1, j4, "wxyz"),
                 (1, j3, "wyzx"), (1, j2, "wyzx")]
     stages = [
-        ("top", src + [(1, dj1, "wxyz")] + neg(top)),
+        ("top", start + [(1, dj1, "wxyz")] + neg(top)),
         ("n2", top + [(1, dj3, "wxzy")] + neg(m_obj)),
         ("n3", m_obj + [(1, dj2, "wxzy"), (1, dj1, "wzxy")] + neg(q_obj)),
-        ("r1-source", [(1, _ap(obj, r), "wxyz")] + neg(src)),
-        ("r1", src + [(1, dj3, "wxyz")] + neg(left_mid)),
+        ("r1-source", [(1, src(r), "wxyz")] + neg(start)),
+        ("r1", start + [(1, dj3, "wxyz")] + neg(left_mid)),
         ("r2", left_mid + [(1, dj2, "wxyz"), (1, dj1, "wyxz")] + neg(p_obj)),
         ("r3/r4", p_obj + [(1, dj4, "wxyz"), (1, dj3, "wyzx"), (1, dj2, "wyzx")] + neg(q_obj)),
         ("final", left_v1 + neg(right_v1)),
     ]
-    return arrow[1], equivariance[1], [(name, _sum(*terms)[1]) for name, terms in stages]
+    return laws, [(name, residual(*terms)) for name, terms in stages]
 
 
 def roundtrip_check(obj) -> CheckReport:

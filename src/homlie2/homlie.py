@@ -8,8 +8,8 @@ endomorphism phi satisfying the phi-twisted Jacobi identity
 Structures are stored by structure constants: bracket[i][j] is the coordinate
 vector of [e_i, e_j].  Nothing is assumed about the tensors at construction
 time beyond shape; `check_hom_lie` verifies the axioms and reports witnesses.
-phi-morphism and hom-jacobi are residual tensors (lhs - rhs) built once by
-`exactlin.contract` and scanned as lookups; skewness is compared per pair.
+phi-morphism and hom-jacobi are residual tensors (lhs - rhs) built once with
+`exactlin._ap`/`_sum` and scanned as lookups; skewness is compared per pair.
 """
 
 from __future__ import annotations

@@ -427,10 +427,10 @@ def reference_dual_representation(r: Representation) -> Representation | None:
 
 # --------------------------------------------------------------------------
 # Reference law scans: the per-tuple checks that evaluated every composite
-# term again at each basis tuple.  `check_hom_lie`, `check_two_term` and
-# `check_hom_lie2` build these laws once as residual tensors; they must
-# report the same first failing tuple and, for the hom-Jacobiator, the same
-# stage.
+# term again at each basis tuple.  `check_hom_lie`, `check_two_term`,
+# `check_hom_lie2` and `check_hl_morphism` build these laws once as residual
+# tensors; they must report the same first failing tuple and, for the
+# hom-Jacobiator, the same stage.
 # --------------------------------------------------------------------------
 
 def reference_check_hom_lie(g: HomLieAlgebra) -> CheckReport:
@@ -580,13 +580,40 @@ def reference_jacobiator_broken_stage(L: HomLie2Data, obj_basis, phi0sq, i, j, k
 
 
 def reference_hom_lie2_witnesses(L: HomLie2Data) -> dict:
-    """{law: first failing tuple or None} for jacobiator-arrow,
-    jacobiator-equivariance and hom-jacobiator, and the broken stage
-    under "stage" (None when the diagram commutes)."""
+    """{law: first failing tuple or None}, in the order of the report, for
+    every law of `check_hom_lie2` built as a residual, and the broken stage
+    of the hom-Jacobiator under "stage" (None when the diagram commutes).
+    The arrow laws evaluate both sides at each pair or triple of basis arrows."""
     tvs = L.tvs
-    n0 = tvs.dim0
+    n0, nm = tvs.dim0, tvs.dim0 + tvs.dim1
     obj_basis = [tuple(1 if t == i else 0 for t in range(n0)) for i in range(n0)]
+    mor_basis = list(tvs.mor_basis())
     phi0sq = L.Phi0 * L.Phi0
+
+    def bracket_source(p, q):
+        mu, nu = mor_basis[p], mor_basis[q]
+        return tvs.source(L.b_mor(mu, nu)) == L.b_obj(tvs.source(mu), tvs.source(nu))
+
+    def bracket_target(p, q):
+        mu, nu = mor_basis[p], mor_basis[q]
+        return tvs.target(L.b_mor(mu, nu)) == L.b_obj(tvs.target(mu), tvs.target(nu))
+
+    def bracket_identities(i, j):
+        x, y = obj_basis[i], obj_basis[j]
+        return L.b_mor(tvs.ident(x), tvs.ident(y)) == tvs.ident(L.b_obj(x, y))
+
+    def phi_source(p):
+        return tvs.source(L.phi_mor(mor_basis[p])) == L.Phi0.apply(tvs.source(mor_basis[p]))
+
+    def phi_target(p):
+        return tvs.target(L.phi_mor(mor_basis[p])) == L.Phi0.apply(tvs.target(mor_basis[p]))
+
+    def phi_identities(i):
+        return L.phi_mor(tvs.ident(obj_basis[i])) == tvs.ident(L.Phi0.apply(obj_basis[i]))
+
+    def phi_bracket(p, q):
+        mu, nu = mor_basis[p], mor_basis[q]
+        return L.phi_mor(L.b_mor(mu, nu)) == L.b_mor(L.phi_mor(mu), L.phi_mor(nu))
 
     def arrow_valid(i, j, k):
         x, y, z = obj_basis[i], obj_basis[j], obj_basis[k]
@@ -599,12 +626,80 @@ def reference_hom_lie2_witnesses(L: HomLie2Data) -> dict:
         return L.jac_mor(L.phi_obj(x), L.phi_obj(y), L.phi_obj(z)) == \
             L.phi_mor(L.jac_mor(x, y, z))
 
+    def natural(p, q, r):
+        """[[mu,nu], Phi rho] then J at the targets, against J at the sources
+        then [Phi mu, [nu,rho]] + [[mu,rho], Phi nu], composed vertically."""
+        mu, nu, rho = mor_basis[p], mor_basis[q], mor_basis[r]
+        f = L.b_mor(L.b_mor(mu, nu), L.phi_mor(rho))
+        g1 = L.b_mor(L.phi_mor(mu), L.b_mor(nu, rho))
+        g2 = L.b_mor(L.b_mor(mu, rho), L.phi_mor(nu))
+        g = (vadd(g1[0], g2[0]), vadd(g1[1], g2[1]))
+        j_t = L.jac_mor(tvs.target(mu), tvs.target(nu), tvs.target(rho))
+        j_s = L.jac_mor(tvs.source(mu), tvs.source(nu), tvs.source(rho))
+        if tvs.target(f) != j_t[0] or tvs.target(j_s) != g[0]:
+            return False
+        return (f[0], vadd(f[1], j_t[1])) == (j_s[0], vadd(j_s[1], g[1]))
+
     def commutes(i, j, k, l):
         return reference_jacobiator_broken_stage(L, obj_basis, phi0sq, i, j, k, l) is None
 
-    r0 = range(n0)
+    r0, rm = range(n0), range(nm)
     first = _first_failing(product(r0, r0, r0, r0), commutes)
-    return {"jacobiator-arrow": _first_failing(product(r0, r0, r0), arrow_valid),
+    return {"bracket-source": _first_failing(product(rm, rm), bracket_source),
+            "bracket-target": _first_failing(product(rm, rm), bracket_target),
+            "bracket-identities": _first_failing(product(r0, r0), bracket_identities),
+            "phi-source": _first_failing(product(rm), phi_source),
+            "phi-target": _first_failing(product(rm), phi_target),
+            "phi-identities": _first_failing(product(r0), phi_identities),
+            "phi-bracket": _first_failing(product(rm, rm), phi_bracket),
+            "jacobiator-arrow": _first_failing(product(r0, r0, r0), arrow_valid),
             "jacobiator-equivariance": _first_failing(product(r0, r0, r0), equivariant),
+            "jacobiator-naturality": _first_failing(product(rm, rm, rm), natural),
             "hom-jacobiator": first,
             "stage": first and reference_jacobiator_broken_stage(L, obj_basis, phi0sq, *first)}
+
+
+def reference_check_hl_morphism(m: HLMorphism) -> CheckReport:
+    """The per-tuple morphism check: every pair and triple evaluated afresh."""
+    src, tgt = m.source, m.target
+    n0, n1 = src.dim0, src.dim1
+    f0_cols = [m.f0.column(i) for i in range(n0)]
+    f1_cols = [m.f1.column(a) for a in range(n1)]
+    sphi0_cols = [src.phi0.column(i) for i in range(n0)]
+    chk = LawChecker("hl_morphism")
+    chk.add_matrix_eq("chain-map", m.f0 * src.d, tgt.d * m.f1)
+    chk.add_matrix_eq("phi0-intertwined", m.f0 * src.phi0, tgt.phi0 * m.f0)
+    chk.add_matrix_eq("phi1-intertwined", m.f1 * src.phi1, tgt.phi1 * m.f1)
+    chk.scan("f2-skew", (((i, j), m.f2[i][j] == vneg(m.f2[j][i]))
+                         for i in range(n0) for j in range(n0)))
+    chk.scan("f2-equivariance",
+             (((i, j), m.f2_eval(sphi0_cols[i], sphi0_cols[j]) == tgt.phi1.apply(m.f2[i][j]))
+              for i in range(n0) for j in range(n0)))
+    chk.scan("bracket-defect",
+             (((i, j),
+               tgt.d.apply(m.f2[i][j]) ==
+               tuple(p - q for p, q in zip(m.f0.apply(src.l2_00[i][j]),
+                                           tgt.l2_vv(f0_cols[i], f0_cols[j]))))
+              for i in range(n0) for j in range(n0)))
+    chk.scan("action-defect",
+             (((i, a),
+               m.f2_eval(src.basis0(i), src.d.column(a)) ==
+               tuple(p - q for p, q in zip(m.f1.apply(src.l2_01[i][a]),
+                                           tgt.l2_vm(f0_cols[i], f1_cols[a]))))
+              for i in range(n0) for a in range(n1)))
+
+    def jac_defect(i, j, k):
+        f0phi = [m.f0.apply(sphi0_cols[t]) for t in (i, j, k)]
+        lhs = vneg(tgt.l2_vm(f0phi[2], m.f2[i][j]))              # l2'(f2(x,y), f0 phi0 z)
+        lhs = vadd(lhs, m.f2_eval(src.l2_00[i][j], sphi0_cols[k]))
+        lhs = vadd(lhs, m.f1.apply(src.l3[i][j][k]))
+        rhs = tgt.l3_eval(f0_cols[i], f0_cols[j], f0_cols[k])
+        rhs = vadd(rhs, tgt.l2_vm(f0phi[0], m.f2[j][k]))
+        rhs = vadd(rhs, vneg(tgt.l2_vm(f0phi[1], m.f2[i][k])))   # l2'(f2(x,z), f0 phi0 y)
+        rhs = vadd(rhs, m.f2_eval(sphi0_cols[i], src.l2_00[j][k]))
+        rhs = vadd(rhs, m.f2_eval(src.l2_00[i][k], sphi0_cols[j]))
+        return lhs == rhs
+
+    chk.scan("jacobiator-defect", (((i, j, k), jac_defect(i, j, k))
+                                   for i in range(n0) for j in range(n0) for k in range(n0)))
+    return chk.report()

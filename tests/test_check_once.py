@@ -7,7 +7,10 @@ through `from .x import check` copies are counted too.
 import sys
 from pathlib import Path
 
-from homlie2.constructions import sl2_example, strict_from_symplectic, string_from_semisimple
+from homlie2.cohomology import class_is_trivial, trivial_representation
+from homlie2.constructions import (QuadraticHomLie, l3_from_B, sl2_example,
+                                   strict_from_symplectic, string_from_semisimple)
+from homlie2.homlie import killing_form
 from homlie2.hl2 import roundtrip_check
 from homlie2.modelfile import load_model
 
@@ -53,3 +56,13 @@ def test_strict_from_symplectic_checks_the_product_once(monkeypatch):
     calls = count_calls(monkeypatch, "constructions", "check_left_symmetric")
     strict_from_symplectic(s)
     assert len(calls) == 1
+
+
+def test_class_is_trivial_tests_the_hom_cochain_condition_once(monkeypatch):
+    g = sl2_example()
+    f = l3_from_B(QuadraticHomLie(g, killing_form(g)))
+    calls = count_calls(monkeypatch, "cohomology", "is_hom_cochain")
+    assert not class_is_trivial(f, trivial_representation(g))
+    assert len(calls) == 1
+    string_from_semisimple(g)
+    assert len(calls) == 3  # and twice in the string: l3_from_B's coboundary, class_is_trivial

@@ -1,10 +1,11 @@
-"""The laws built by contraction against their per-tuple references.
+"""The laws built as residual tensors against their per-tuple references.
 
-`contract` must equal a dense Fraction einsum, store no zero and hold only
-ints and Fractions.  On perturbed structures, the residual-tensor laws of
-`check_hom_lie`, `check_two_term` and `check_hom_lie2` must report the
-verdict, the first failing basis tuple and the broken hom-Jacobiator stage
-that the per-tuple scans in `tests/helpers.py` find.
+`_ap` and `_sum` must equal a dense Fraction einsum, store no zero and hold
+only ints on integral data.  On perturbed structures, the residual-tensor
+laws of `check_hom_lie`, `check_two_term`, `check_hom_lie2` and
+`check_hl_morphism` must report the verdict, the first failing basis tuple
+and the broken hom-Jacobiator stage that the per-tuple scans in
+`tests/helpers.py` find.
 """
 
 import dataclasses
@@ -17,17 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (heisenberg, identity_complex, nilpotent4, random_invertible,
-                     reference_check_hom_lie, reference_hom_lie2_witnesses,
-                     reference_two_term_witnesses, shift_strict, sl2_sum, transport_two_term)
+                     reference_check_hl_morphism, reference_check_hom_lie,
+                     reference_hom_lie2_witnesses, reference_two_term_witnesses, shift_strict,
+                     sl2_sum, transport_two_term)
 from homlie2.constructions import sl2_example, string_from_semisimple
-from homlie2.exactlin import Matrix, contract, inverse
-from homlie2.hl2 import HomLie2Data, TwoTermHL, check_hom_lie2, check_two_term, functor_T
+from homlie2.exactlin import Matrix, _ap, _sum, inverse
+from homlie2.hl2 import (HLMorphism, HomLie2Data, TwoTermHL, check_hl_morphism, check_hom_lie2,
+                         check_two_term, functor_T, identity_hl_morphism)
 from homlie2.homlie import HomLieAlgebra, abelian_algebra, check_hom_lie
 
 F = Fraction
 
 NONZERO = sorted({F(p, q) for p in range(-6, 7) for q in range(1, 8)} - {0})
 entries = st.one_of(st.sampled_from(NONZERO), st.just(F(0)))
+units = st.sampled_from((F(0), F(1), F(-1)))  # sums of products cancel often
 
 
 def reference_contract(out, dims, terms):
@@ -46,47 +50,101 @@ def reference_contract(out, dims, terms):
 
 
 @st.composite
-def contractions(draw):
-    letters = "abcd"[:draw(st.integers(1, 4))]
-    dims = {s: draw(st.integers(0, 3)) for s in letters}
-    out = "".join(draw(st.permutations(letters))[:draw(st.integers(0, len(letters)))])
-    dense_terms, sparse_terms = [], []
-    for _ in range(draw(st.integers(1, 3))):
-        factors = []
-        for k in range(draw(st.integers(1, 3))):
-            names = list(draw(st.permutations(letters)))[:draw(st.integers(1, len(letters)))]
-            if k == 0:  # the first factor carries every output slot
-                names += [s for s in out if s not in names]
-            dense = {key: draw(entries) for key in product(*(range(dims[s]) for s in names))}
-            factors.append(("".join(names), dense))
-        coef = draw(st.sampled_from((1, -1, 2, F(-2, 3))))
-        dense_terms.append((coef, factors))
-        sparse_terms.append((coef, [(names, {key: (v.numerator if v.denominator == 1 else v)
-                                             for key, v in dense.items() if v})
-                                    for names, dense in factors]))
-    return out, dims, dense_terms, sparse_terms
+def applications(draw, letters: str, dims: dict, values, out_name=None, depth=0):
+    """`_ap` of a random tensor to `letters`, split among its inputs: each
+    input a letter or a nested application (of no letters, a constant).
+    Returns (expression, the factors of its dense reference term, the name of
+    its output slot); `dims` gains the size of every slot named inside, and
+    the entries are drawn from `values`."""
+    k = len(letters) if depth == 2 else draw(st.integers(1 if letters else 0, 3))
+    owner = list(range(k)) if depth == 2 else [draw(st.integers(0, k - 1)) for _ in letters]
+    args, names, factors = [], [], []
+    for p in range(k):
+        mine = "".join(s for s, o in zip(letters, owner) if o == p)
+        if len(mine) == 1 and (depth == 2 or draw(st.booleans())):
+            args.append(mine)
+            names.append(mine)
+        else:
+            expr, sub, name = draw(applications(mine, dims, values, depth=depth + 1))
+            args.append(expr)
+            names.append(name)
+            factors += sub
+    if out_name is None:
+        out_name = f"_{len(dims)}"
+    dims.setdefault(out_name, draw(st.integers(0, 3)))
+    shape = [dims[n] for n in names] + [dims[out_name]]
+    dense = {key: draw(values) for key in product(*map(range, shape))}
+    sparse = {key: (v.numerator if v.denominator == 1 else v) for key, v in dense.items() if v}
+    return _ap(sparse, *args), [((*names, out_name), dense)] + factors, out_name
 
 
-@given(contractions())
-@settings(max_examples=300, deadline=None)
-def test_contract_matches_dense_reference(case):
-    out, dims, dense_terms, sparse_terms = case
-    got = contract(out, *sparse_terms)
-    assert got == reference_contract(out, dims, dense_terms)
+def assert_kernel_result(got: dict, want: dict, coefficients_and_factors):
+    """got equals the dense reference, stores no zero, and holds only ints on integral data."""
+    assert got == want
     assert all(v and type(v) in (int, Fraction) for v in got.values())
-    if all(F(c).denominator == 1 and all(v.denominator == 1 for _, t in fs for v in t.values())
-           for c, fs in dense_terms):
+    if all(F(c).denominator == 1 and all(v.denominator == 1 for v in dense.values())
+           for c, factors in coefficients_and_factors for _, dense in factors):
         assert all(type(v) is int for v in got.values())
 
 
-def test_contract_joins_shared_slots_and_sums_the_rest():
-    m = {(0, 0): 1, (0, 1): 2, (1, 1): F(1, 2)}    # m[i, j]
-    v = {(0,): 3, (1,): -4}
-    assert contract("i", (1, [("ij", m), ("j", v)])) == {(0,): -5, (1,): -2}
-    assert contract("ji", (1, [("ij", m)]), (-1, [("ji", m)])) == \
-        {(1, 0): 2, (0, 1): -2}
-    assert contract("", (2, [("ij", m)])) == {(): 7}
-    assert contract("i", (1, [("i", v)]), (-1, [("i", v)])) == {}
+def slot_letters(data) -> tuple[str, dict, st.SearchStrategy]:
+    """Letters in random order, the dimensions of all four, and the entries' values."""
+    letters = "".join(data.draw(st.permutations("abcd"))[:data.draw(st.integers(0, 4))])
+    dims = {s: data.draw(st.integers(0, 3)) for s in "abcd"}
+    return letters, dims, data.draw(st.sampled_from((entries, units)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_ap_matches_dense_reference(data):
+    letters, dims, values = slot_letters(data)
+    (slots, got), factors, out = data.draw(applications(letters, dims, values))
+    assert slots == "".join(sorted(letters))
+    want = reference_contract((*slots, out), dims, [(1, factors)])
+    assert_kernel_result(got, want, [(1, factors)])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sum_matches_dense_reference(data):
+    """Signed terms over the same letters, some renamed, keyed by the sorted letters."""
+    letters, dims, values = slot_letters(data)
+    slots = "".join(sorted(letters))
+    dims["_out"] = data.draw(st.integers(0, 3))
+    terms, dense_terms = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        expr, factors, _ = data.draw(applications(letters, dims, values, "_out"))
+        coef = data.draw(st.sampled_from((1, -1, 2, F(-2, 3))))
+        rename = {}
+        if data.draw(st.booleans()):  # swap letters of equal dimension
+            for d in set(map(dims.get, slots)):
+                same = [s for s in slots if dims[s] == d]
+                rename.update(zip(same, data.draw(st.permutations(same))))
+            terms.append((coef, expr, "".join(map(rename.get, slots))))
+        else:
+            terms.append((coef, expr))
+        dense_terms.append((coef, [(tuple(rename.get(s, s) for s in fnames), dense)
+                                   for fnames, dense in factors]))
+    got_slots, got = _sum(*terms)
+    assert got_slots == slots
+    assert_kernel_result(got, reference_contract((*slots, "_out"), dims, dense_terms),
+                         dense_terms)
+
+
+def test_kernel_keys_by_sorted_slots_and_drops_cancelled_entries():
+    e = ("ab", {(0, 1, 0): 1, (1, 0, 0): F(1, 2)})           # e(a, b)
+    assert _sum((1, e, "ba")) == ("ab", {(1, 0, 0): 1, (0, 1, 0): F(1, 2)})
+    assert _sum((-1, e, "ba"), (1, e)) == ("ab", {(1, 0, 0): F(-1, 2), (0, 1, 0): F(1, 2)})
+    assert _sum((1, e), (-1, e)) == ("ab", {})
+    with pytest.raises(ValueError):
+        _sum((1, e), (1, e, "bc"))
+    m = {(0, 0): 1, (1, 0): 2, (1, 1): F(1, 2)}             # v -> M·v, keyed (column, row)
+    assert _ap(m, ("", {(0,): 3, (1,): -4})) == ("", {(0,): -5, (1,): -2})
+    assert _ap(m, "b") == ("b", m)
+    assert _ap(m, ("", {(0,): 2, (1,): -1})) == ("", {(1,): F(-1, 2)})   # 2 - 2 = 0 is dropped
+    t = {(0, 0, 0): 1, (0, 1, 0): 1}                        # t(e0, e0) = t(e0, e1) = e0
+    assert _ap(t, "b", ("a", {(0, 0): 1, (1, 1): 2})) == ("ab", {(0, 0, 0): 1, (1, 0, 0): 2})
+    assert _ap(t, "b", ("a", {(0, 0): 1, (0, 1): -1})) == ("ab", {})
 
 
 # -- the contracted laws against the per-tuple scans --------------------------------
@@ -136,11 +194,12 @@ def assert_two_term_agrees(v: TwoTermHL) -> dict:
 
 
 def assert_hom_lie2_agrees(L: HomLie2Data) -> dict:
-    """Compare check_hom_lie2 with the per-tuple scans, the broken stage included."""
+    """Compare check_hom_lie2 with the per-tuple scans item for item, in
+    order, the broken stage included."""
     want = reference_hom_lie2_witnesses(L)
     report = check_hom_lie2(L)
-    for law in ("jacobiator-arrow", "jacobiator-equivariance", "hom-jacobiator"):
-        assert witness(report, law) == want[law], law
+    assert [(item.law, item.witness) for item in report.items if item.law in want] == \
+        [(law, w) for law, w in want.items() if law != "stage"]
     note = report.item("hom-jacobiator").note
     assert (note.partition("; broke at stage ")[2] or None) == want["stage"]
     return want
@@ -179,8 +238,10 @@ def test_perturbation_grid_reaches_every_law():
             L = functor_T(v)
         want = assert_hom_lie2_agrees(L)
         failed |= {law for law, w in want.items() if w is not None and law != "stage"}
-    assert failed == {"(h)", "(i)", "(j)", "l3-equivariance", "jacobiator-arrow",
-                      "jacobiator-equivariance", "hom-jacobiator"}
+    assert failed == {"(h)", "(i)", "(j)", "l3-equivariance", "bracket-source", "bracket-target",
+                      "bracket-identities", "phi-source", "phi-target", "phi-identities",
+                      "phi-bracket", "jacobiator-arrow", "jacobiator-equivariance",
+                      "jacobiator-naturality", "hom-jacobiator"}
 
 
 @pytest.mark.parametrize("field, position, stage", [
@@ -192,6 +253,42 @@ def test_each_stage_breaks_first_where_the_reference_says(field, position, stage
     the string's `final` in tests/test_hl2.py, every stage breaks first somewhere."""
     L = perturbed(functor_T(identity_complex(sl2_example())), field, position, 1)
     assert assert_hom_lie2_agrees(L)["stage"] == stage
+
+
+# -- check_hl_morphism against the per-tuple reference --------------------------------
+
+def base_morphism(base: str, dense: bool) -> HLMorphism:
+    """The identity of a base structure, or a dense change of basis out of it."""
+    v = BASES[base]()
+    if not dense:
+        return identity_hl_morphism(v)
+    rng = random.Random(len(base))
+    return transport_two_term(v, new_basis(rng, v.dim0), new_basis(rng, v.dim1))[1]
+
+
+@given(st.sampled_from(sorted(BASES)), st.booleans(), st.sampled_from(("f0", "f1", "f2")),
+       st.integers(0, 10 ** 6), st.sampled_from(DELTAS))
+@settings(max_examples=40, deadline=None)
+def test_morphism_laws_match_the_per_tuple_reference(base, dense, field, position, delta):
+    m = perturbed(base_morphism(base, dense), field, position, delta)
+    assert check_hl_morphism(m) == reference_check_hl_morphism(m)
+
+
+def test_morphism_grid_passes_and_fails_every_law():
+    """The unperturbed morphisms pass; seeded perturbations of f0, f1 and f2
+    agree with the reference and make every residual law fail somewhere."""
+    rng = random.Random(4)
+    morphisms = [base_morphism(base, dense) for base in sorted(BASES) if base != "string^2"
+                 for dense in (False, True)]
+    assert all(check_hl_morphism(m).ok for m in morphisms)
+    failed = set()
+    for _ in range(120):
+        m = perturbed(rng.choice(morphisms), rng.choice(("f0", "f1", "f2")),
+                      rng.randrange(10 ** 6), rng.choice(DELTAS))
+        report = check_hl_morphism(m)
+        assert report == reference_check_hl_morphism(m)
+        failed |= {item.law for item in report.failures()}
+    assert {"f2-equivariance", "bracket-defect", "action-defect", "jacobiator-defect"} <= failed
 
 
 # -- check_hom_lie against the per-tuple reference ---------------------------------
