@@ -31,9 +31,9 @@ from homlie2.constructions import (CrossedModule, HomLeftSymmetric,
                                    sl2_example, strict_from_leftsym,
                                    strict_from_symplectic, string_from_semisimple)
 from homlie2.errors import HomLieError
-from homlie2.exactlin import Matrix, rank, rank_and_kernel
+from homlie2.exactlin import Matrix, rank, rank_and_kernel, unit_vec
 from homlie2.hl2 import TwoTermHL, check_two_term
-from homlie2.homlie import HomLieAlgebra, abelian_algebra, check_hom_lie
+from homlie2.homlie import HomLieAlgebra, abelian_algebra, bilinear_eval, check_hom_lie
 from homlie2.modelfile import LeftSymmetricFile, save_model
 from homlie2.reports import CheckReport
 
@@ -181,7 +181,7 @@ def find_leftsym_with_d() -> LeftSymmetricFile:
                     continue
                 nonabelian = not derived.sub_adjacent.is_abelian()
                 interacts = any(
-                    any(x != 0 for x in a.star_vec(d.column(m), a.basis(nn)))
+                    any(x != 0 for x in bilinear_eval(a.star, d.column(m), unit_vec(2, nn), 2))
                     for m in range(2) for nn in range(2))
                 tier = 2 if nonabelian else (1 if interacts else 0)
                 cand = (tier, LeftSymmetricFile(a, d))

@@ -4,7 +4,10 @@ A representation is a family rho(e_i) of module endomorphisms together with
 a module twist A satisfying
 
     (i)  rho(phi(u)) ∘ A = A ∘ rho(u)
-    (ii) rho([u,v]) ∘ A  = rho(phi(u)) ∘ rho(v) − rho(phi(v)) ∘ rho(u).
+    (ii) rho([u,v]) ∘ A  = rho(phi(u)) ∘ rho(v) − rho(phi(v)) ∘ rho(u),
+
+each checked as one residual tensor (see `exactlin`) in the algebra slots
+and the module slot.
 
 A k-hom-cochain is a skew k-linear map f into the module intertwining the
 twists, A∘f = f∘phi^(⊗k); C^k is the kernel of A⊗1 − Λ^k phi on the full
@@ -28,12 +31,12 @@ their notes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb
 
 from .errors import InputError, PreconditionError
-from .exactlin import (F0, Matrix, Vec, det_of, is_zero_vec, rank,
+from .exactlin import (F0, Matrix, Vec, _ap, _sum, det_of, dok, is_zero_vec, rank,
                        rank_and_kernel, solve_linear, vadd, vscale, zero_vec)
 from .homlie import HomLieAlgebra
 from .reports import CheckReport, LawChecker
@@ -71,17 +74,17 @@ class Representation:
 
 
 def check_representation(r: Representation) -> CheckReport:
-    g, A = r.algebra, r.A
+    """(i) and (ii) in the algebra slots a, b and the module slot m; a
+    failure names (i,) or (i, j)."""
+    g = r.algebra
     n = g.dim
-    phi_cols = [g.phi.column(j) for j in range(n)]
+    rho, phi, A = (partial(_ap, dok(t)) for t in (r.rho, g.phi, r.A))   # rho(x, v) = rho(x)v
     chk = LawChecker("representation")
-    chk.scan("twist-compatibility",
-             (((i,), r.rho_at(phi_cols[i]) * A == A * r.rho[i]) for i in range(n)))
-    chk.scan("bracket-action",
-             (((i, j),
-               r.rho_at(g.bracket[i][j]) * A ==
-               r.rho_at(phi_cols[i]) * r.rho[j] - r.rho_at(phi_cols[j]) * r.rho[i])
-              for i in range(n) for j in range(n)))
+    chk.scan_zero("twist-compatibility", (n,), _sum(
+        (1, rho(phi("a"), A("m"))), (-1, A(rho("a", "m"))))[1])
+    chk.scan_zero("bracket-action", (n, n), _sum(
+        (1, rho(_ap(dok(g.bracket), "a", "b"), A("m"))),
+        (-1, rho(phi("a"), rho("b", "m"))), (1, rho(phi("b"), rho("a", "m"))))[1])
     return chk.report()
 
 
@@ -375,6 +378,11 @@ def class_is_trivial(f: Cochain, r: Representation) -> bool:
         raise InputError("class_is_trivial is for degree >= 1")
     if not is_zero_vec(coboundary_matrix(r, f.degree).apply(f.coords())):
         raise PreconditionError("class_is_trivial requires a closed cochain (df = 0)")
+    return _is_exact(f, r)
+
+
+def _is_exact(f: Cochain, r: Representation) -> bool:
+    """Whether f, a closed hom-cochain of degree >= 1 for r, lies in B^k."""
     return f.is_zero() or solve_linear(_exact_columns(r, f.degree), f.coords()) is not None
 
 

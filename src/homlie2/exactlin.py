@@ -137,9 +137,12 @@ def sparse_form(t) -> tuple:
 def dok(t) -> dict:
     """The dict-of-keys form of a multilinear map: (input indices..., output
     index) -> nonzero coefficient, int where integral.  A tensor T[i][j]
-    gives keys (i, j, k); a Matrix, as the map v -> M·v, (column, row)."""
+    gives keys (i, j, k); a Matrix, as the map v -> M·v, (column, row); a
+    tuple of matrices M_i, as the map (x, v) -> Σ x_i M_i·v, (i, column, row)."""
     if isinstance(t, Matrix):
         return {(j, i): c for j in range(t.cols) for i, c in sparse_vec(t.column(j))}
+    if t and isinstance(t[0], Matrix):
+        return {(i, *key): c for i, m in enumerate(t) for key, c in dok(m).items()}
     return _dok(sparse_form(t))
 
 

@@ -25,12 +25,13 @@ including the hom-Jacobiator coherence diagram, each of whose stages (every
 intermediate object against the diagram's stated value) is its own
 identity; a failure names the stage that broke.
 
-(h), (i), (j), l3-equivariance, every arithmetic law of `check_hom_lie2`
-but `bracket-interchange`, and the laws of f2 in `check_hl_morphism` are
-built once each as a residual tensor lhs − rhs with `exactlin._ap`/`_sum`
-and scanned over the basis tuples as lookups.  The skew laws, (d)-(g) and
-`bracket-interchange` run per tuple.  Both run on Python ints where the
-data is integral; the answers are those of Fraction arithmetic.
+Every multilinear law here but `bracket-interchange` is built once as a
+residual tensor lhs − rhs with `exactlin._ap`/`_sum` (a law with two
+equalities, such as l3-skew, as the union of two) and scanned over the
+basis tuples as lookups.  `bracket-interchange` runs per tuple: its sides
+split arrows into parts over different subsets of its six indices.  Both
+run on Python ints where the data is integral; the answers are those of
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import InputError
-from .exactlin import (F0, Matrix, Tensor, Vec, _ap, _sum, dok, is_zero_vec, sparse_form,
-                       sparse_vec, unit_vec, vadd, vneg, vec, zero_vec)
+from .exactlin import (F0, Matrix, Tensor, Vec, _ap, _sum, dok, sparse_form, sparse_vec,
+                       unit_vec, vadd, vneg, vec, zero_vec)
 from .homlie import Tensor2, as_tensor2, bilinear_eval
 from .reports import CheckReport, LawChecker
 from .twovect import TwoVectorSpace, from_complex
@@ -110,21 +111,8 @@ class TwoTermHL:
         if self.phi1.shape() != (n1, n1):
             raise InputError("phi1 has wrong shape")
 
-    # l2 on mixed arguments; the V1xV1 component is zero by condition (c).
-    def l2_vv(self, x: Vec, y: Vec) -> Vec:
-        return bilinear_eval(self.l2_00, x, y, self.dim0)
-
     def l2_vm(self, x: Vec, m: Vec) -> Vec:
         return bilinear_eval(self.l2_01, x, m, self.dim1)
-
-    def l2_mv(self, m: Vec, x: Vec) -> Vec:
-        return vneg(self.l2_vm(x, m))
-
-    def l3_eval(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        return trilinear_eval(self.l3, x, y, z, self.dim1)
-
-    def basis0(self, i: int) -> Vec:
-        return unit_vec(self.dim0, i)
 
     def basis1(self, a: int) -> Vec:
         return unit_vec(self.dim1, a)
@@ -139,30 +127,24 @@ class TwoTermHL:
 def check_two_term(v: TwoTermHL) -> CheckReport:
     """Run conditions (a)-(j) plus the twist compatibilities, with witnesses.
 
-    (h), (i), (j) and l3-equivariance are built once as residual tensors
-    and scanned as lookups."""
+    Every law but the structural (b) and (c) and the matrix equality
+    phi-chain is built once as a residual tensor and scanned as lookups."""
     n0, n1 = v.dim0, v.dim1
-    phi0_cols = [v.phi0.column(t) for t in range(n0)]
-    phi1_cols = [v.phi1.column(t) for t in range(n1)]
     chk = LawChecker("two_term_hl")
     L2, M2, L3 = dok(v.l2_00), dok(v.l2_01), dok(v.l3)
     D, P0, P1, P00 = dok(v.d), dok(v.phi0), dok(v.phi1), dok(v.phi0 * v.phi0)
-    phi = partial(_ap, P0)
+    phi, d = partial(_ap, P0), partial(_ap, D)
+    l2, act = ("ab", L2), ("ab", M2)                           # l2(a,b), l2(a,m) with m named b
 
-    chk.scan("(a)", (((i, j), v.l2_00[i][j] == vneg(v.l2_00[j][i]))
-                     for i in range(n0) for j in range(n0)))
+    chk.scan_zero("(a)", (n0, n0), _sum((1, l2), (1, l2, "ba"))[1])
     chk.add("(b)", True, note="structural: only the V0xV1 component is stored")
     chk.add("(c)", True, note="structural: no V1xV1 component is stored")
-    chk.scan("(d)", (((i, a), v.d.apply(v.l2_01[i][a]) == v.l2_vv(v.basis0(i), v.d.column(a)))
-                     for i in range(n0) for a in range(n1)))
-    chk.scan("(e)", (((a, b),
-                      v.l2_vm(v.d.column(a), v.basis1(b)) ==
-                      vneg(v.l2_vm(v.d.column(b), v.basis1(a))))
-                     for a in range(n1) for b in range(n1)))
-    chk.scan("(f)", (((i, j), v.phi0.apply(v.l2_00[i][j]) == v.l2_vv(phi0_cols[i], phi0_cols[j]))
-                     for i in range(n0) for j in range(n0)))
-    chk.scan("(g)", (((i, a), v.phi1.apply(v.l2_01[i][a]) == v.l2_vm(phi0_cols[i], phi1_cols[a]))
-                     for i in range(n0) for a in range(n1)))
+    chk.scan_zero("(d)", (n0, n1), _sum((1, d(act)), (-1, _ap(L2, "a", d("b"))))[1])
+    e = _ap(M2, d("a"), "b")                                   # l2(da, b)
+    chk.scan_zero("(e)", (n1, n1), _sum((1, e), (1, e, "ba"))[1])
+    chk.scan_zero("(f)", (n0, n0), _sum((1, phi(l2)), (-1, _ap(L2, phi("a"), phi("b"))))[1])
+    chk.scan_zero("(g)", (n0, n1), _sum(
+        (1, _ap(P1, act)), (-1, _ap(M2, phi("a"), _ap(P1, "b"))))[1])
     l3 = ("abc", L3)                                           # l3(a,b,c)
     h = _ap(L2, phi("a"), _ap(L2, "b", "c"))                  # l2(φ0 a, l2(b,c))
     chk.scan_zero("(h)", (n0, n0, n0), _sum(
@@ -183,11 +165,13 @@ def check_two_term(v: TwoTermHL) -> CheckReport:
     chk.add_matrix_eq("phi-chain", v.phi0 * v.d, v.d * v.phi1)
     chk.scan_zero("l3-equivariance", (n0,) * 3, _sum(
         (1, _ap(L3, phi("a"), phi("b"), phi("c"))), (-1, _ap(P1, l3)))[1])
-    chk.scan("l3-skew",
-             (((i, j, k), v.l3[i][j][k] == vneg(v.l3[j][i][k])
-               and v.l3[i][j][k] == vneg(v.l3[i][k][j]))
-              for i in range(n0) for j in range(n0) for k in range(n0)))
+    chk.scan_zero("l3-skew", (n0,) * 3, _skew3(l3))
     return chk.report()
+
+
+def _skew3(t) -> set:
+    """The keys where t(a,b,c) does not change sign under a <-> b or b <-> c."""
+    return set().union(*(_sum((1, t), (1, t, swap))[1] for swap in ("bac", "acb")))
 
 
 def two_term_hl(dim0, dim1, d, l2_00, l2_01, l3, phi0, phi1) -> TwoTermHL:
@@ -228,18 +212,17 @@ def identity_hl_morphism(v: TwoTermHL) -> HLMorphism:
 
 
 def check_hl_morphism(m: HLMorphism) -> CheckReport:
-    """The chain and twist laws of (f0, f1, f2) as matrix equalities, f2's
-    skewness per pair, and its four laws with l2 and l3 as residual tensors."""
+    """The chain and twist laws of (f0, f1, f2) as matrix equalities, and f2's
+    skewness and its four laws with l2 and l3 as residual tensors."""
     src, tgt = m.source, m.target
     n0, n1 = src.dim0, src.dim1
     chk = LawChecker("hl_morphism")
     chk.add_matrix_eq("chain-map", m.f0 * src.d, tgt.d * m.f1)
     chk.add_matrix_eq("phi0-intertwined", m.f0 * src.phi0, tgt.phi0 * m.f0)
     chk.add_matrix_eq("phi1-intertwined", m.f1 * src.phi1, tgt.phi1 * m.f1)
-    chk.scan("f2-skew", (((i, j), m.f2[i][j] == vneg(m.f2[j][i]))
-                         for i in range(n0) for j in range(n0)))
     f0, f1, f2, phi, l2, act, l2t, act_t = (partial(_ap, dok(t)) for t in (
         m.f0, m.f1, m.f2, src.phi0, src.l2_00, src.l2_01, tgt.l2_00, tgt.l2_01))
+    chk.scan_zero("f2-skew", (n0, n0), _sum((1, f2("a", "b")), (1, f2("b", "a")))[1])
     chk.scan_zero("f2-equivariance", (n0, n0), _sum(
         (1, f2(phi("a"), phi("b"))), (-1, _ap(dok(tgt.phi1), f2("a", "b"))))[1])
     chk.scan_zero("bracket-defect", (n0, n0), _sum(
@@ -300,26 +283,10 @@ class HomLie2Data:
         if self.Phi0.shape() != (n0, n0) or self.Phi1.shape() != (nm, nm):
             raise InputError("twist functor blocks have wrong shapes")
 
-    def b_obj(self, x: Vec, y: Vec) -> Vec:
-        return bilinear_eval(self.bracket_obj, x, y, self.tvs.dim0)
-
     def b_mor(self, mu, nu):
         coords = bilinear_eval(self.bracket_mor, self.tvs.mor_coords(mu),
                                self.tvs.mor_coords(nu), self.tvs.dim0 + self.tvs.dim1)
         return self.tvs.mor_from_coords(coords)
-
-    def phi_obj(self, x: Vec) -> Vec:
-        return self.Phi0.apply(x)
-
-    def phi_mor(self, mu):
-        return self.tvs.mor_from_coords(self.Phi1.apply(self.tvs.mor_coords(mu)))
-
-    def jac_eval(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        return trilinear_eval(self.jac, x, y, z, self.tvs.dim1)
-
-    def jac_mor(self, x: Vec, y: Vec, z: Vec):
-        """J_{x,y,z} as an arrow: source [[x,y],Phi0(z)], V1-part jac(x,y,z)."""
-        return (self.b_obj(self.b_obj(x, y), self.phi_obj(z)), self.jac_eval(x, y, z))
 
 
 def functor_T(v: TwoTermHL) -> HomLie2Data:
@@ -359,20 +326,11 @@ def functor_S(L: HomLie2Data) -> TwoTermHL:
     """
     tvs = L.tvs
     n0, n1 = tvs.dim0, tvs.dim1
-
-    def e0(i):
-        return unit_vec(n0, i)
-
-    def e1(a):
-        return ((0,) * n0, unit_vec(n1, a))
-
-    for i in range(n0):
-        for a in range(n1):
-            mu = L.b_mor(tvs.ident(e0(i)), e1(a))
-            if not is_zero_vec(mu[0]):
-                raise InputError("bracket does not preserve Ker(s); cannot extract l2(x,m)")
-    l2_01 = tuple(tuple(L.b_mor(tvs.ident(e0(i)), e1(a))[1] for a in range(n1))
-                  for i in range(n0))
+    # [i(e_i), e_a] in arrow coordinates is the stored entry bracket_mor[i][n0 + a]
+    mixed = [[L.bracket_mor[i][n0 + a] for a in range(n1)] for i in range(n0)]
+    if any(any(mu[:n0]) for row in mixed for mu in row):
+        raise InputError("bracket does not preserve Ker(s); cannot extract l2(x,m)")
+    l2_01 = tuple(tuple(mu[n0:] for mu in row) for row in mixed)
     # Phi1 must respect the arrow structure for the restriction to make sense.
     for i in range(n0):
         for a in range(n1):
@@ -395,9 +353,7 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
     laws, stages = _hom_lie2_residuals(L)
     chk = LawChecker("hom_lie2")
 
-    chk.scan("bracket-skew",
-             (((p, q), L.bracket_mor[p][q] == vneg(L.bracket_mor[q][p]))
-              for p in range(nm) for q in range(nm)))
+    chk.scan_zero("bracket-skew", (nm, nm), laws["bracket-skew"])
     chk.scan_zero("bracket-source", (nm, nm), laws["bracket-source"])
     chk.scan_zero("bracket-target", (nm, nm), laws["bracket-target"])
     chk.scan_zero("bracket-identities", (n0, n0), laws["bracket-identities"])
@@ -427,10 +383,7 @@ def check_hom_lie2(L: HomLie2Data) -> CheckReport:
     chk.scan_zero("phi-identities", (n0,), laws["phi-identities"])
     chk.scan_zero("phi-bracket", (nm, nm), laws["phi-bracket"])
 
-    chk.scan("jacobiator-skew",
-             (((i, j, k), L.jac[i][j][k] == vneg(L.jac[j][i][k])
-               and L.jac[i][j][k] == vneg(L.jac[i][k][j]))
-              for i in range(n0) for j in range(n0) for k in range(n0)))
+    chk.scan_zero("jacobiator-skew", (n0,) * 3, laws["jacobiator-skew"])
     chk.scan_zero("jacobiator-arrow", (n0,) * 3, laws["jacobiator-arrow"],
                   note="J lands where the diagram says")
     chk.scan_zero("jacobiator-equivariance", (n0,) * 3, laws["jacobiator-equivariance"])
@@ -483,6 +436,7 @@ def _hom_lie2_residuals(L: HomLie2Data):
     ta, tb, tc = tgt("a"), tgt("b"), tgt("c")
     j_s = jac_arrow(src("a"), src("b"), src("c"))
     laws = {
+        "bracket-skew": residual((1, bm("a", "b")), (1, bm("b", "a"))),
         "bracket-source": residual((1, src(bm("a", "b"))), (-1, br(src("a"), src("b")))),
         "bracket-target": residual((1, tgt(bm("a", "b"))), (-1, br(tgt("a"), tgt("b")))),
         "bracket-identities": residual((1, bm(obj("a"), obj("b"))), (-1, obj(br("a", "b")))),
@@ -490,6 +444,7 @@ def _hom_lie2_residuals(L: HomLie2Data):
         "phi-target": residual((1, tgt(pm("a"))), (-1, phi(tgt("a")))),
         "phi-identities": residual((1, pm(obj("a"))), (-1, obj(phi("a")))),
         "phi-bracket": residual((1, pm(bm("a", "b"))), (-1, bm(pm("a"), pm("b")))),
+        "jacobiator-skew": _skew3(("abc", J)),
         "jacobiator-arrow": residual(
             (1, br(br("x", "y"), phi("z"))), (1, _ap(D, ("xyz", J))),
             (-1, br(phi("x"), br("y", "z"))), (-1, br(br("x", "z"), phi("y")))),
@@ -567,10 +522,9 @@ def roundtrip_check(obj) -> CheckReport:
         raise InputError("roundtrip_check expects a TwoTermHL or HomLie2Data")
     nm = L.tvs.dim0 + L.tvs.dim1
     expected = functor_T(v)
-    chk.scan("alpha-bracket",
-             (((p, q), L.bracket_mor[p][q] == expected.bracket_mor[p][q])
-              for p in range(nm) for q in range(nm)),
-             note="stored bracket equals the one induced by its own l2 parts")
+    chk.scan_zero("alpha-bracket", (nm, nm), _sum(
+        (1, ("ab", dok(L.bracket_mor))), (-1, ("ab", dok(expected.bracket_mor))))[1],
+        note="stored bracket equals the one induced by its own l2 parts")
     chk.add("alpha-phi", L.Phi1 == expected.Phi1,
             note="twist functor is block-diagonal over (objects, Ker s)")
     return chk.report()

@@ -120,8 +120,11 @@ class LawChecker:
 
     def scan_zero(self, law: str, dims, residual, note: str = "") -> bool:
         """Scan the basis tuples over `dims` in lexicographic order; one passes when
-        no key (tuple..., output index) of the residual lhs − rhs starts with it."""
-        failing = {key[:-1] for key in residual}
+        no key of the residual lhs − rhs starts with it.  A key is the tuple, then
+        the output index, with any slots the witness leaves out (such as a module
+        index) in between."""
+        k = len(dims)
+        failing = {key[:k] for key in residual}
         return self.scan(law, ((t, t not in failing) for t in product(*map(range, dims))), note)
 
     def amend_note(self, note: str) -> None:

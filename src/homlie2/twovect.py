@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .exactlin import Matrix, Vec, unit_vec, vadd
+from .exactlin import Matrix, Vec, vadd
 
 Morphism = tuple  # (Vec over V0, Vec over V1)
 
@@ -50,10 +50,6 @@ class TwoVectorSpace:
 
     def mor_from_coords(self, coords: Vec) -> Morphism:
         return (tuple(coords[:self.dim0]), tuple(coords[self.dim0:]))
-
-    def mor_basis(self):
-        for p in range(self.dim0 + self.dim1):
-            yield self.mor_from_coords(unit_vec(self.dim0 + self.dim1, p))
 
 
 def from_complex(d: Matrix) -> TwoVectorSpace:

@@ -6,6 +6,7 @@ cases `bench/oracles.py` derives from the dimensions.  A deletion, a rename
 or a changed scan must fail these tests, not the traced run.
 """
 
+import ast
 import importlib
 import importlib.util
 import random
@@ -24,6 +25,7 @@ from homlie2.homlie import HomLieAlgebra, check_hom_lie
 from homlie2.reports import LawChecker
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(homlie2.__file__).resolve().parent
 
 
 def test_all_names_resolve_and_are_not_modules():
@@ -40,6 +42,35 @@ def test_removed_names_are_gone():
         assert name not in homlie2.__all__
         assert not hasattr(homlie2, name) and not hasattr(homlie2.twovect, name)
     assert not hasattr(Matrix, "scale") and not hasattr(Matrix, "is_skew")
+
+
+def test_per_tuple_evaluators_of_the_old_law_scans_are_gone():
+    for cls, names in (
+            (homlie2.TwoTermHL, ("l2_vv", "l2_mv", "l3_eval", "basis0")),
+            (homlie2.HomLie2Data, ("b_obj", "phi_obj", "phi_mor", "jac_eval", "jac_mor")),
+            (homlie2.TwoVectorSpace, ("mor_basis",)),
+            (homlie2.CrossedModule, ("act",)),
+            (homlie2.HomLeftSymmetric, ("star_vec", "basis"))):
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Deleted code leaves its imports behind, and no linter runs on this
+    package, so each module of src/homlie2 but the re-exporting __init__
+    must use every name it imports."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
 
 
 def load_bench_module(name: str) -> ModuleType:

@@ -10,6 +10,7 @@ from pathlib import Path
 from homlie2.cohomology import class_is_trivial, trivial_representation
 from homlie2.constructions import (QuadraticHomLie, l3_from_B, sl2_example,
                                    strict_from_symplectic, string_from_semisimple)
+from helpers import sl2_sum
 from homlie2.homlie import killing_form
 from homlie2.hl2 import roundtrip_check
 from homlie2.modelfile import load_model
@@ -65,4 +66,14 @@ def test_class_is_trivial_tests_the_hom_cochain_condition_once(monkeypatch):
     assert not class_is_trivial(f, trivial_representation(g))
     assert len(calls) == 1
     string_from_semisimple(g)
-    assert len(calls) == 3  # and twice in the string: l3_from_B's coboundary, class_is_trivial
+    assert len(calls) == 2  # and once in the string, in l3_from_B's coboundary
+
+
+def test_string_builds_the_degree_3_system_and_coboundary_once(monkeypatch):
+    """l3_from_B's closedness test and the exactness solve share one
+    representation, so the degree-3 hom-cochain system and d_3 are built once."""
+    system = count_calls(monkeypatch, "cohomology", "_hom_system")
+    d = count_calls(monkeypatch, "cohomology", "coboundary_matrix")
+    string_from_semisimple(sl2_sum(3))
+    assert [args[1] for args in system].count(3) == 1
+    assert [args[1] for args in d].count(3) == 1

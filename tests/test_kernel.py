@@ -3,7 +3,7 @@
 `bilinear_eval`, `trilinear_eval` and `Matrix.apply` must return vectors
 equal (==) to the reference loops in `tests/helpers.py`, holding only ints
 and Fractions, never a float; so must the evaluators built on them
-(`Representation.rho_at`, `CrossedModule.act`, the form pairing), and
+(`Representation.rho_at`, the form pairing), and
 `dual_representation` must give what its old pairing gate gave.  Every
 structure the constructors build must still hold only Fractions.
 """
@@ -15,12 +15,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (random_algebra, random_representation, reference_act,
-                     reference_apply, reference_bilinear_eval, reference_dual_gate,
+from helpers import (random_algebra, random_representation, reference_apply, reference_bilinear_eval, reference_dual_gate,
                      reference_dual_representation, reference_pair, reference_rho_at,
                      reference_trilinear_eval)
 from homlie2.cohomology import Representation, dual_representation
-from homlie2.constructions import (CrossedModule, _pair, l3_from_B, quadratic,
+from homlie2.constructions import (_pair, l3_from_B, quadratic,
                                    sl2_example, strict_to_crossed, string_from_semisimple)
 from homlie2.homlie import abelian_algebra, killing_form
 from homlie2.exactlin import F0, F1, Matrix, Tensor, rat, sparse_vec
@@ -113,17 +112,6 @@ def test_pair_matches_reference(data, n):
     x, y = data.draw(vectors(n)), data.draw(vectors(n))
     got = _pair(B, x, y)
     assert got == reference_pair(B, x, y) and type(got) is Fraction
-
-
-@given(st.data(), st.integers(0, 2 ** 32))
-@settings(max_examples=150, deadline=None)
-def test_act_matches_reference(data, seed):
-    rng = random.Random(seed)
-    h, g = random_algebra(rng), random_algebra(rng)
-    cm = CrossedModule(h, g, random_matrix(data.draw, g.dim, h.dim),
-                       tuple(random_matrix(data.draw, h.dim, h.dim) for _ in range(g.dim)))
-    x, m = data.draw(vectors(g.dim)), data.draw(vectors(h.dim))
-    assert_exact(cm.act(x, m), reference_act(cm, x, m))
 
 
 def _dual_candidates(rng):

@@ -1,11 +1,12 @@
 """The laws built as residual tensors against their per-tuple references.
 
 `_ap` and `_sum` must equal a dense Fraction einsum, store no zero and hold
-only ints on integral data.  On perturbed structures, the residual-tensor
-laws of `check_hom_lie`, `check_two_term`, `check_hom_lie2` and
-`check_hl_morphism` must report the verdict, the first failing basis tuple
-and the broken hom-Jacobiator stage that the per-tuple scans in
-`tests/helpers.py` find.
+only ints on integral data.  On perturbed structures, `check_hom_lie`,
+`check_two_term`, `check_hom_lie2`, `roundtrip_check` and
+`check_hl_morphism` must give the reports of the per-tuple scans in
+`tests/helpers.py`, item for item: verdict, first failing basis tuple, note
+(with the broken hom-Jacobiator stage) and order.  The other checks are
+compared in `tests/test_residual_laws.py`.
 """
 
 import dataclasses
@@ -19,12 +20,13 @@ from hypothesis import strategies as st
 
 from helpers import (heisenberg, identity_complex, nilpotent4, random_invertible,
                      reference_check_hl_morphism, reference_check_hom_lie,
-                     reference_hom_lie2_witnesses, reference_two_term_witnesses, shift_strict,
-                     sl2_sum, transport_two_term)
+                     reference_check_hom_lie2, reference_check_two_term,
+                     reference_roundtrip_check, shift_strict, sl2_sum, transport_two_term)
 from homlie2.constructions import sl2_example, string_from_semisimple
 from homlie2.exactlin import Matrix, _ap, _sum, inverse
 from homlie2.hl2 import (HLMorphism, HomLie2Data, TwoTermHL, check_hl_morphism, check_hom_lie2,
-                         check_two_term, functor_T, identity_hl_morphism)
+                         check_two_term, functor_T, identity_hl_morphism, roundtrip_check)
+from homlie2.reports import CheckReport
 from homlie2.homlie import HomLieAlgebra, abelian_algebra, check_hom_lie
 
 F = Fraction
@@ -179,30 +181,42 @@ def perturbed(x, field: str, position: int, delta):
         x, **{field: Matrix(value.rows, value.cols, new) if isinstance(value, Matrix) else new})
 
 
-def witness(report, law):
-    item = report.item(law)
-    return None if item.passed else item.witness
+def outcome(check, *args):
+    """The report of a check, or the class and message of what it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # noqa: BLE001 - the reference must raise the same
+        return type(exc), str(exc)
 
 
-def assert_two_term_agrees(v: TwoTermHL) -> dict:
-    """Compare check_two_term with the per-tuple scans; return the references."""
-    want = reference_two_term_witnesses(v)
+def failed_laws(*outcomes) -> set:
+    """The laws failed in those outcomes that are reports."""
+    return {item.law for report in outcomes if isinstance(report, CheckReport)
+            for item in report.failures()}
+
+
+def assert_two_term_agrees(v: TwoTermHL) -> tuple:
+    """check_two_term and roundtrip_check against their per-tuple references;
+    return both outcomes."""
     report = check_two_term(v)
-    for law, w in want.items():
-        assert witness(report, law) == w, law
-    return want
+    assert report == reference_check_two_term(v)
+    roundtrip = outcome(roundtrip_check, v)
+    assert roundtrip == outcome(reference_roundtrip_check, v)
+    return report, roundtrip
 
 
-def assert_hom_lie2_agrees(L: HomLie2Data) -> dict:
-    """Compare check_hom_lie2 with the per-tuple scans item for item, in
-    order, the broken stage included."""
-    want = reference_hom_lie2_witnesses(L)
+def assert_hom_lie2_agrees(L: HomLie2Data) -> tuple:
+    """check_hom_lie2 and roundtrip_check against their per-tuple references,
+    item for item and in order, the broken stage included; return both outcomes."""
     report = check_hom_lie2(L)
-    assert [(item.law, item.witness) for item in report.items if item.law in want] == \
-        [(law, w) for law, w in want.items() if law != "stage"]
-    note = report.item("hom-jacobiator").note
-    assert (note.partition("; broke at stage ")[2] or None) == want["stage"]
-    return want
+    assert report == reference_check_hom_lie2(L)
+    roundtrip = outcome(roundtrip_check, L)
+    assert roundtrip == outcome(reference_roundtrip_check, L)
+    return report, roundtrip
+
+
+def broken_stage(report):
+    return report.item("hom-jacobiator").note.partition("; broke at stage ")[2] or None
 
 
 @given(st.sampled_from(sorted(BASES)), st.sampled_from(FIELDS), st.integers(0, 10 ** 6),
@@ -234,14 +248,15 @@ def test_perturbation_grid_reaches_every_law():
                           rng.randrange(10 ** 6), delta)
         else:
             v = perturbed(base, rng.choice(FIELDS), rng.randrange(10 ** 6), delta)
-            failed |= {law for law, w in assert_two_term_agrees(v).items() if w is not None}
+            failed |= failed_laws(*assert_two_term_agrees(v))
             L = functor_T(v)
-        want = assert_hom_lie2_agrees(L)
-        failed |= {law for law, w in want.items() if w is not None and law != "stage"}
-    assert failed == {"(h)", "(i)", "(j)", "l3-equivariance", "bracket-source", "bracket-target",
-                      "bracket-identities", "phi-source", "phi-target", "phi-identities",
-                      "phi-bracket", "jacobiator-arrow", "jacobiator-equivariance",
-                      "jacobiator-naturality", "hom-jacobiator"}
+        failed |= failed_laws(*assert_hom_lie2_agrees(L))
+    assert failed == {"(a)", "(d)", "(e)", "(f)", "(g)", "(h)", "(i)", "(j)", "phi-chain",
+                      "l3-equivariance", "l3-skew", "bracket-skew", "bracket-source",
+                      "bracket-target", "bracket-identities", "bracket-interchange",
+                      "phi-source", "phi-target", "phi-identities", "phi-bracket",
+                      "jacobiator-skew", "jacobiator-arrow", "jacobiator-equivariance",
+                      "jacobiator-naturality", "hom-jacobiator", "alpha-bracket", "alpha-phi"}
 
 
 @pytest.mark.parametrize("field, position, stage", [
@@ -252,7 +267,7 @@ def test_each_stage_breaks_first_where_the_reference_says(field, position, stage
     """Entries of the categorical data of g -Id-> g (sl(2)) raised by 1; with
     the string's `final` in tests/test_hl2.py, every stage breaks first somewhere."""
     L = perturbed(functor_T(identity_complex(sl2_example())), field, position, 1)
-    assert assert_hom_lie2_agrees(L)["stage"] == stage
+    assert broken_stage(assert_hom_lie2_agrees(L)[0]) == stage
 
 
 # -- check_hl_morphism against the per-tuple reference --------------------------------
@@ -288,7 +303,8 @@ def test_morphism_grid_passes_and_fails_every_law():
         report = check_hl_morphism(m)
         assert report == reference_check_hl_morphism(m)
         failed |= {item.law for item in report.failures()}
-    assert {"f2-equivariance", "bracket-defect", "action-defect", "jacobiator-defect"} <= failed
+    assert {"f2-skew", "f2-equivariance", "bracket-defect", "action-defect",
+            "jacobiator-defect"} <= failed
 
 
 # -- check_hom_lie against the per-tuple reference ---------------------------------
