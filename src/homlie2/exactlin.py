@@ -2,31 +2,27 @@
 
 Every axiom check in this package reduces to an identity between rational
 tensors, every cohomology space to a kernel, and every triviality question
-to exact solvability.  The substrate is therefore deliberately small:
-immutable dense matrices over ``fractions.Fraction``, kernels, solutions,
-inverses and span membership.  Fractions are the API; elimination runs
-fraction-free on integer rows, each kept primitive by dividing out its
-content, and is normalised to the unique reduced row echelon form only at
-the end, so the answers are those of Fraction elimination.  There is no
-floating point and no rounding anywhere.
+to exact solvability.  Immutable dense `Matrix`es over ``fractions.Fraction``
+are the API.  Beneath rank, kernels, solutions, inverses and span membership
+is one elimination, `_rref`, on sparse integer rows (dicts {column: int}):
+each row is scaled to ints over its own nonzeros, eliminated fraction-free
+with content division, and normalised to the unique reduced row echelon
+form only where a Fraction is returned, so the answers are those of
+Fraction elimination.  Matrix products run on ints too.
 
-Tensor evaluation has one sparse, integer-first kernel.  `sparse_vec` turns
-a vector into (index, coefficient) pairs for its nonzero entries, where a
-coefficient is an int when the entry is integral and the Fraction
-otherwise.  A `Tensor` (the nested tuples of structure constants) and a
-`Matrix` (by columns) build this form of their leaves on first use and keep
-it, and the evaluators (`Matrix.apply`, `bilinear_eval` in `homlie`,
-`trilinear_eval` in `hl2`) walk only nonzero inputs against it, adding into
-int zeros.  The laws' residual tensors are built the same way: `dok` gives
-a tensor or matrix as a dict of keys over its nonzero entries, `_ap`
-substitutes expressions into a tensor's inputs one slot at a time, and
-`_sum` adds signed terms with renamed slots.  The rule
-is "int where integral": an integral computation runs on Python ints, and a
-non-integral entry turns into Fractions only the values it touches.  Nothing
-is divided, int–Fraction arithmetic is exact and ``3 == Fraction(3)`` with
-equal hashes, so every comparison gives the answer Fraction arithmetic
-would.  Evaluated vectors may therefore hold ints where they are integral;
-stored structures stay all-Fraction, because `vec` and `Matrix` coerce them.
+Tensor evaluation is sparse and integer-first.  `sparse_vec` gives the
+nonzero entries of a vector as (index, coefficient) pairs, int where
+integral; a `Tensor` (nested tuples of structure constants) and a `Matrix`
+(by columns) keep this form of their leaves, and the evaluators
+(`Matrix.apply`, `bilinear_eval` in `homlie`, `trilinear_eval` in `hl2`)
+walk only nonzero inputs against it.  The laws' residual tensors are dicts
+of keys (`dok`): `_ap` substitutes expressions into a tensor's inputs one
+slot at a time, and `_sum` adds signed terms with renamed slots.
+Int–Fraction arithmetic is exact and ``3 == Fraction(3)`` with equal
+hashes, so every comparison gives the answer Fraction arithmetic would.
+Evaluated vectors may hold ints; stored structures stay all-Fraction,
+because `vec` and `Matrix` coerce them.  There is no floating point and no
+rounding anywhere.
 """
 
 from __future__ import annotations
@@ -179,6 +175,8 @@ def _ap(t: dict, *xs):
                 k = head + sub + tail
                 acc[k] = acc.get(k, 0) + u * c
         t, slots = acc, slots + xslots
+    if slots == "".join(sorted(slots)):
+        return slots, {k: v for k, v in t.items() if v}
     return _sum((1, (slots, t)))
 
 
@@ -290,23 +288,22 @@ class Matrix:
         return tuple(out)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """On ints: row i scaled by its lcm denominator d_i, column j by e_j."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.shape()} by {other.shape()}")
-        data = [[F0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            ri = self.data[i]
-            for k in range(self.cols):
-                a = ri[k]
-                if not a:
-                    continue
-                rk = other.data[k]
-                row = data[i]
-                for j in range(other.cols):
-                    b = rk[j]
-                    if b:
-                        row[j] += a * b
+        e = [lcm(*(r[j].denominator for r in other.data)) for j in range(other.cols)]
+        b = [[(j, x.numerator * (e[j] // x.denominator)) for j, x in enumerate(r) if x]
+             for r in other.data]
+        data = []
+        for row in self.data:
+            d, acc = lcm(*(x.denominator for x in row)), [0] * other.cols
+            for x, bk in zip(row, b):
+                if x:
+                    for j, y in bk:
+                        acc[j] += x.numerator * (d // x.denominator) * y
+            data.append([Fraction(v, d * e[j]) if v else F0 for j, v in enumerate(acc)])
         return Matrix(self.rows, other.cols, data)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -373,40 +370,77 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """Gauss–Jordan on integer copies of the rows; return (pivot columns, int rows).
-
-    Each row is scaled by the lcm of its denominators and eliminated
-    fraction-free (row_i <- pv·row_i - f·row_r, then divided by its content),
-    so every int row stays a nonzero multiple of the row the Fraction
-    elimination would hold.  Row r of the unique RREF is int row r divided
-    by its pivot entry; callers build Fractions only for what they return.
-    """
+def _rref(rows: Iterable[dict], ncols: int) -> tuple[list[int], list[dict]]:
+    """Gauss–Jordan on sparse int copies of the rows {column: value}: each is
+    scaled to ints over its own nonzeros, eliminated fraction-free and divided
+    by its content.  Each pivot column, in order, takes the unused row with
+    the fewest nonzeros (Markowitz); columns >= ncols ride along unpivoted.
+    Returns (pivot columns, int rows), pivot rows first: row r of the unique
+    RREF is int row r over its pivot entry."""
     irows = []
     for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        irows.append([x.numerator * (d // x.denominator) for x in row])
-    pivots: list[int] = []
-    r = 0
-    nrows = len(irows)
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if irows[i][c]), None)
-        if pr is None:
+        d = lcm(*(x.denominator for x in row.values()))
+        irows.append({j: x.numerator * (d // x.denominator) for j, x in row.items() if x})
+    free, pivots, order = set(range(len(irows))), [], []
+    for c in sorted({j for row in irows for j in row if j < ncols}):
+        holders = [i for i, row in enumerate(irows) if c in row]
+        p = min((i for i in holders if i in free), key=lambda i: (len(irows[i]), i), default=None)
+        if p is None:
             continue
-        irows[r], irows[pr] = irows[pr], irows[r]
-        prow = irows[r]
-        pv = prow[c]
-        for i in range(nrows):
-            f = irows[i][c]
-            if f and i != r:
-                row = [pv * a - f * b for a, b in zip(irows[i], prow)]
-                g = gcd(*row)
-                irows[i] = [a // g for a in row] if g > 1 else row
+        prow = irows[p]
+        for i in holders:
+            if i != p:
+                g = gcd(prow[c], irows[i][c])
+                a, b = prow[c] // g, irows[i][c] // g
+                new = {j: a * x for j, x in irows[i].items()}
+                for j, y in prow.items():
+                    new[j] = new.get(j, 0) - b * y
+                g = gcd(*new.values()) or 1
+                irows[i] = {j: x // g for j, x in new.items() if x}
+        free.discard(p)
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        order.append(p)
+        if not free:
             break
-    return pivots, irows
+    return pivots, [irows[i] for i in order] + [irows[i] for i in sorted(free)]
+
+
+def _kernel(rows: Iterable[dict], ncols: int) -> tuple[list[int], list[dict]]:
+    """(pivot columns, kernel basis) of the sparse rows: per free column j, the
+    int vector that is zero at the other free columns and, at j (its first
+    key), s > 0; divided by s it is the vector `rank_and_kernel` returns."""
+    pivots, irows = _rref(rows, ncols)
+    above: dict = {}   # column j -> (pivot column, entry at j, pivot entry) per row
+    for pc, row in zip(pivots, irows):
+        for j, x in row.items():
+            above.setdefault(j, []).append((pc, x, row[pc]))
+    kernel = []
+    for j in sorted(set(range(ncols)) - set(pivots)):
+        s = lcm(*(pv for _, _, pv in above.get(j, ())))
+        kernel.append({j: s, **{pc: -x * (s // pv) for pc, x, pv in above.get(j, ())}})
+    return pivots, kernel
+
+
+def _fraction_kernel(rows: Iterable[dict], ncols: int) -> tuple[int, list[Vec]]:
+    """Rank and the normalised Fraction kernel basis of the sparse rows."""
+    pivots, kernel = _kernel(rows, ncols)
+    return len(pivots), [tuple(Fraction(v[i], s) if i in v else F0 for i in range(ncols))
+                         for v in kernel for s in (next(iter(v.values())),)]
+
+
+def _in_span(vectors: list[dict], v: dict) -> bool:
+    """Whether the sparse vector v is a rational combination of the vectors."""
+    pivots, rows = _rref(_transpose(vectors + [v]).values(), len(vectors))
+    return not any(len(vectors) in row for row in rows[len(pivots):])
+
+
+def _transpose(vectors) -> dict:
+    """{i: {j: v_j[i]}}: the nonzero rows of the matrix with sparse columns v_j."""
+    out: dict = {}
+    for j, v in enumerate(vectors):
+        for i, x in v.items():
+            out.setdefault(i, {})[j] = x
+    return out
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
@@ -416,18 +450,7 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
     and the kernel vectors are linearly independent by construction (each
     has a 1 in a distinct free column).
     """
-    pivots, rows = _rref(m.data, m.cols)
-    pivot_set = set(pivots)
-    kernel: list[Vec] = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        v = [F0] * m.cols
-        v[j] = F1
-        for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-rows[r][j], rows[r][pc])
-        kernel.append(tuple(v))
-    return len(pivots), kernel
+    return _fraction_kernel(map(dict, map(enumerate, m.data)), m.cols)
 
 
 def rank(m: Matrix) -> int:
@@ -441,14 +464,13 @@ def solve_linear(m: Matrix, b: Vec) -> Vec | None:
     """
     if len(b) != m.rows:
         raise InputError(f"rhs length {len(b)} != rows {m.rows}")
-    rows = [list(r) + [rat(x)] for r, x in zip(m.data, b)]
+    rows = [{**dict(enumerate(r)), m.cols: rat(x)} for r, x in zip(m.data, b)]
     pivots, rows = _rref(rows, m.cols)
-    if any(row[m.cols] for row in rows[len(pivots):]):
+    if any(m.cols in row for row in rows[len(pivots):]):
         return None
-    x = [F0] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = Fraction(rows[r][m.cols], rows[r][pc])
-    return tuple(x)
+    sol = dict(zip(pivots, rows))
+    return tuple(Fraction(sol[c].get(m.cols, 0), sol[c][c]) if c in sol else F0
+                 for c in range(m.cols))
 
 
 def in_span(vectors: Sequence[Vec], target: Vec) -> bool:
@@ -466,11 +488,11 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise InputError("inverse of a non-square matrix")
     n = m.rows
-    rows = [list(r) + [F1 if i == j else F0 for j in range(n)] for i, r in enumerate(m.data)]
-    pivots, rows = _rref(rows, n)
+    pivots, rows = _rref([{**dict(enumerate(r)), n + i: F1} for i, r in enumerate(m.data)], n)
     if len(pivots) != n:
         raise InputError("matrix is singular")
-    return Matrix(n, n, [[Fraction(a, r[i]) for a in r[n:]] for i, r in enumerate(rows)])
+    return Matrix(n, n, [[Fraction(r.get(n + j, 0), r[i]) for j in range(n)]
+                         for i, r in enumerate(rows)])
 
 
 def det_of(rows: Sequence[Vec]) -> Fraction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from homlie2.cohomology import (Cochain, Representation, adjoint_representation,
@@ -19,8 +20,8 @@ from homlie2.cohomology import (Cochain, Representation, adjoint_representation,
 from homlie2.constructions import (CrossedModule, HomLeftSymmetric, QuadraticHomLie,
                                    SymplecticHomLie, sl2_example)
 from homlie2.errors import PreconditionError
-from homlie2.exactlin import (F0, F1, Matrix, Vec, det_of, inverse, is_zero_vec, rank,
-                              rank_and_kernel, rat, vadd, vneg, zero_vec)
+from homlie2.exactlin import (F0, F1, Matrix, Vec, det_of, inverse, is_zero_vec, rank, rat,
+                              vadd, vneg, zero_vec)
 from homlie2.hl2 import HLMorphism, HomLie2Data, TwoTermHL, functor_S, functor_T
 from homlie2.homlie import HomLieAlgebra, HomLieMorphism, abelian_algebra
 from homlie2.reports import CheckReport, LawChecker, merge_reports
@@ -164,7 +165,7 @@ def reference_coboundary(f: Cochain, r: Representation) -> Cochain:
     value = dict(zip(f.tuples(), f.comps))
     phi_cols = [g.phi.column(j) for j in range(n)]
     phi_pow = g.phi.power(max(k - 1, 0))
-    rho_tw = [r.rho_at(phi_pow.column(i)) for i in range(n)]
+    rho_tw = [reference_rho_at(r, phi_pow.column(i)) for i in range(n)]
     comps = []
     for t in combinations(range(n), k + 1):
         total = [Fraction(0)] * m
@@ -201,7 +202,7 @@ def reference_hom_basis(r: Representation, k: int) -> list[Cochain]:
             for si, d in enumerate(dets):
                 row[si * m + a] -= d
             rows.append(row)
-    _, kernel = rank_and_kernel(Matrix(size, size, rows))
+    _, kernel = reference_rank_and_kernel(Matrix(size, size, rows))
     return [Cochain(k, n, m, tuple(tuple(v[ti * m:ti * m + m]) for ti in range(len(tuples))))
             for v in kernel]
 
@@ -213,14 +214,44 @@ def reference_dims(r: Representation, k: int) -> tuple[int, int, int, int]:
     if not cbasis:
         return (0, 0, 0, 0)
     d_cols = [reference_coboundary(b, r).coords() for b in cbasis]
-    dim_z = len(cbasis) - (rank(Matrix.from_columns(d_cols)) if d_cols[0] else 0)
+    dim_z = len(cbasis) - (_reference_rank(d_cols) if d_cols[0] else 0)
     gens = [reference_coboundary(b, r) for b in reference_hom_basis(r, k - 1)] if k else []
     img = [c.coords() for c in gens]
-    dim_b = rank(Matrix.from_columns(img)) if img and img[0] else 0
+    dim_b = _reference_rank(img) if img and img[0] else 0
     for c in gens:
         if not reference_is_hom_cochain(c, r) or not reference_coboundary(c, r).is_zero():
             raise PreconditionError("B^k is not inside Z^k")
     return (len(cbasis), dim_z, dim_b, dim_z - dim_b)
+
+
+def _reference_rank(columns) -> int:
+    return reference_rank_and_kernel(Matrix.from_columns(columns))[0]
+
+
+def direct_sum(g: HomLieAlgebra, h: HomLieAlgebra) -> HomLieAlgebra:
+    """g ⊕ h: the brackets and twists block-diagonal, g's basis first."""
+    n = g.dim + h.dim
+    br = [[[0] * n for _ in range(n)] for _ in range(n)]
+    phi = [[0] * n for _ in range(n)]
+    for alg, o in ((g, 0), (h, g.dim)):
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                phi[o + i][o + j] = alg.phi[i, j]
+                for l in range(alg.dim):
+                    br[o + i][o + j][o + l] = alg.bracket[i][j][l]
+    return HomLieAlgebra(n, br, Matrix(n, n, phi))
+
+
+def transport_algebra(g: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:
+    """g in the basis whose coordinates are p·x: bracket p[q·, q·] and twist
+    p·phi·q with q the reference inverse of p, by the reference evaluators."""
+    n = g.dim
+    q = reference_inverse(p)
+    qc = q.columns()
+    br = [[reference_apply(p, reference_bilinear_eval(g.bracket, qc[i], qc[j], n))
+           for j in range(n)] for i in range(n)]
+    phi_cols = [reference_apply(p, reference_apply(g.phi, c)) for c in qc]
+    return HomLieAlgebra(n, br, Matrix.from_columns(phi_cols))
 
 
 # --------------------------------------------------------------------------
@@ -369,8 +400,8 @@ def transport_two_term(v, p0: Matrix, p1: Matrix):
 # --------------------------------------------------------------------------
 # Reference representations and forms: dense Fraction loops over every
 # entry, and the dual's pairing gate run before its full candidate check.
-# `rho_at` must agree repr for repr and `pair` by ==, and
-# `dual_representation` must return None on exactly the same inputs.
+# `reference_rho_at` feeds the reference coboundary, `pair` must agree by ==,
+# and `dual_representation` must return None on exactly the same inputs.
 # `reference_act` is the crossed-module action x.m of the per-tuple laws.
 # --------------------------------------------------------------------------
 
@@ -642,6 +673,10 @@ def reference_jacobiator_broken_stage(L, obj_basis, phi0sq, i, j, k, l):
     w, x, y, z = obj_basis[i], obj_basis[j], obj_basis[k], obj_basis[l]
     wx, wy, wz = B(w, x), B(w, y), B(w, z)
     xy, xz, yz = B(x, y), B(x, z), B(y, z)
+    # each value that recurs below is evaluated once for the tuple
+    pw, px, py, pz = (PHI(v) for v in (w, x, y, z))
+    p2w, p2x, p2y, p2z = (PHI2(v) for v in (w, x, y, z))
+    head = B(PHI(wx), B(py, pz))
 
     def add3(*vs):
         out = vs[0]
@@ -650,57 +685,68 @@ def reference_jacobiator_broken_stage(L, obj_basis, phi0sq, i, j, k, l):
         return out
 
     # ---- left/top composite ------------------------------------------------
-    p1 = L.jac_mor(wx, PHI(y), PHI(z))
+    p1 = L.jac_mor(wx, py, pz)
     src = p1[0]
-    top = vadd(B(PHI(wx), B(PHI(y), PHI(z))), B(B(wx, PHI(z)), PHI2(y)))
+    top = vadd(head, B(B(wx, pz), p2y))
     if vadd(src, dmul(p1[1])) != top:
         return "top"
-    n2 = L.b_mor(L.jac_mor(w, x, z), tvs.ident(PHI2(y)))
-    m_obj = add3(B(PHI(wx), B(PHI(y), PHI(z))),
-                 B(B(PHI(w), xz), PHI2(y)),
-                 B(B(wz, PHI(x)), PHI2(y)))
+    n2 = L.b_mor(L.jac_mor(w, x, z), tvs.ident(p2y))
+    m_obj = add3(head, B(B(pw, xz), p2y), B(B(wz, px), p2y))
     if vadd(top, dmul(n2[1])) != m_obj:
         return "n2"
-    n3a = L.jac_mor(PHI(w), xz, PHI(y))
-    n3b = L.jac_mor(wz, PHI(x), PHI(y))
-    q_obj = add3(B(PHI(wx), B(PHI(y), PHI(z))),
-                 B(PHI2(w), B(xz, PHI(y))),
-                 B(B(PHI(w), PHI(y)), PHI(xz)),
-                 B(PHI(wz), B(PHI(x), PHI(y))),
-                 B(B(wz, PHI(y)), PHI2(x)))
+    n3a = L.jac_mor(pw, xz, py)
+    n3b = L.jac_mor(wz, px, py)
+    q_obj = add3(head,
+                 B(p2w, B(xz, py)),
+                 B(B(pw, py), PHI(xz)),
+                 B(PHI(wz), B(px, py)),
+                 B(B(wz, py), p2x))
     if add3(m_obj, dmul(n3a[1]), dmul(n3b[1])) != q_obj:
         return "n3"
     lhs_m = add3(p1[1], n2[1], n3a[1], n3b[1])
 
     # ---- right/bottom composite ---------------------------------------------
-    r1 = L.b_mor(L.jac_mor(w, x, y), tvs.ident(PHI2(z)))
+    r1 = L.b_mor(L.jac_mor(w, x, y), tvs.ident(p2z))
     if r1[0] != src:
         return "r1-source"
-    left_mid = vadd(B(B(PHI(w), xy), PHI2(z)), B(B(wy, PHI(x)), PHI2(z)))
+    left_mid = vadd(B(B(pw, xy), p2z), B(B(wy, px), p2z))
     if vadd(src, dmul(r1[1])) != left_mid:
         return "r1"
-    r2a = L.jac_mor(PHI(w), xy, PHI(z))
-    r2b = L.jac_mor(wy, PHI(x), PHI(z))
-    p_obj = add3(B(PHI2(w), B(xy, PHI(z))),
-                 B(B(PHI(w), PHI(z)), PHI(xy)),
-                 B(PHI(wy), B(PHI(x), PHI(z))),
-                 B(B(wy, PHI(z)), PHI2(x)))
+    r2a = L.jac_mor(pw, xy, pz)
+    r2b = L.jac_mor(wy, px, pz)
+    p_obj = add3(B(p2w, B(xy, pz)),
+                 B(B(pw, pz), PHI(xy)),
+                 B(PHI(wy), B(px, pz)),
+                 B(B(wy, pz), p2x))
     if add3(left_mid, dmul(r2a[1]), dmul(r2b[1])) != p_obj:
         return "r2"
-    r3a = L.b_mor(tvs.ident(PHI2(w)), L.jac_mor(x, y, z))
-    r3b = L.b_mor(L.jac_mor(w, y, z), tvs.ident(PHI2(x)))
-    r4 = L.jac_mor(PHI(w), yz, PHI(x))
+    r3a = L.b_mor(tvs.ident(p2w), L.jac_mor(x, y, z))
+    r3b = L.b_mor(L.jac_mor(w, y, z), tvs.ident(p2x))
+    r4 = L.jac_mor(pw, yz, px)
     if add3(p_obj, dmul(r3a[1]), dmul(r3b[1]), dmul(r4[1])) != q_obj:
         return "r3/r4"
     rhs_m = add3(r1[1], r2a[1], r2b[1], r3a[1], r3b[1], r4[1])
     return None if lhs_m == rhs_m else "final"
 
 
+def _integral_as_int(v):
+    """A vector, or a tuple of vectors, with each integral entry as an equal int."""
+    if v and isinstance(v[0], tuple):
+        return tuple(map(_integral_as_int, v))
+    return tuple(x.numerator if x.denominator == 1 else x for x in v)
+
+
 def reference_check_hom_lie2(L: HomLie2Data) -> CheckReport:
     """The per-tuple categorical check: the arrow laws evaluate both sides at
     each pair or triple of basis arrows, and the hom-Jacobiator both
-    composites of its diagram at each basis 4-tuple, stage by stage."""
+    composites of its diagram at each basis 4-tuple, stage by stage.  Each
+    evaluator is memoised on its arguments, so a value that recurs within a
+    tuple or across tuples is evaluated once; its integral entries are kept
+    as equal ints, which hash and add faster."""
     L = reference_arrows(L)
+    for name in ("b_obj", "phi_obj", "b_mor", "phi_mor", "jac_mor"):
+        setattr(L, name, lru_cache(maxsize=None)(
+            lambda *args, f=getattr(L, name): _integral_as_int(f(*args))))
     tvs = L.tvs
     n0, n1 = tvs.dim0, tvs.dim1
     nm = n0 + n1

@@ -50,7 +50,8 @@ def test_per_tuple_evaluators_of_the_old_law_scans_are_gone():
             (homlie2.HomLie2Data, ("b_obj", "phi_obj", "phi_mor", "jac_eval", "jac_mor")),
             (homlie2.TwoVectorSpace, ("mor_basis",)),
             (homlie2.CrossedModule, ("act",)),
-            (homlie2.HomLeftSymmetric, ("star_vec", "basis"))):
+            (homlie2.HomLeftSymmetric, ("star_vec", "basis")),
+            (homlie2.Representation, ("rho_at",))):
         for name in names:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 

@@ -55,6 +55,12 @@ def test_cohomology_dims(capsys):
     assert "dim C=1" in out and "dim Z=1" in out and "dim B=0" in out and "dim H=1" in out
 
 
+@pytest.mark.parametrize("k", [str(2 ** 63 - 1), str(10 ** 20)])
+def test_cohomology_at_a_huge_degree_is_zero(k, capsys):
+    assert run("cohomology", str(FIX / "sl2.json"), "--k", k) == 0
+    assert f"k={k}  dim C=0  dim Z=0  dim B=0  dim H=0" in capsys.readouterr().out
+
+
 def test_cohomology_with_rep_file(capsys):
     assert run("cohomology", str(FIX / "sl2.json"), "--rep",
                str(FIX / "sl2_adjoint_rep.json"), "--k", "1") == 0

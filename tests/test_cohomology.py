@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (heisenberg, random_algebra, random_hom_cochain,
-                     random_representation, reference_coboundary, reference_dims,
-                     reference_hom_basis, sl2_sum)
-from homlie2.cohomology import (Representation,
+from helpers import (_ref_evaluate, direct_sum, heisenberg, nilpotent4, random_algebra,
+                     random_hom_cochain, random_invertible, random_representation,
+                     reference_coboundary, reference_dims, reference_hom_basis,
+                     reference_rho_at, rnd_frac, sl2_sum, transport_algebra)
+from homlie2.cohomology import (Cochain, Representation, _wedge,
                                 adjoint_representation, check_representation,
                                 class_is_trivial, coboundary, coboundary_matrix,
                                 cochain_from_function,
@@ -18,7 +22,7 @@ from homlie2.cohomology import (Representation,
                                 zero_cochain)
 from homlie2.constructions import sl2_example
 from homlie2.errors import InputError, PreconditionError
-from homlie2.exactlin import Matrix
+from homlie2.exactlin import Matrix, det_of, sparse_vec
 from homlie2.homlie import abelian_algebra, twisted_algebra
 
 F = Fraction
@@ -86,8 +90,9 @@ def test_dual_absent_when_only_twist_condition_fails():
     phi = g.phi
     for i in range(2):
         for j in range(2):
-            lhs = a * r.rho_at(g.bracket[i][j])
-            rhs = rho[i] * r.rho_at(phi.column(j)) - rho[j] * r.rho_at(phi.column(i))
+            lhs = a * reference_rho_at(r, g.bracket[i][j])
+            rhs = (rho[i] * reference_rho_at(r, phi.column(j))
+                   - rho[j] * reference_rho_at(r, phi.column(i)))
             assert lhs == rhs  # quoted pairing condition holds...
     assert dual_representation(r) is None  # ...yet no dual exists
 
@@ -329,7 +334,7 @@ def test_b1_not_in_z1_is_refused(A, rho):
 
 # -- closed forms: Chevalley-Eilenberg and Whitehead at phi = Id ---------------
 
-@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("c", [1, 2, 3])
 def test_sl2_sum_trivial_poincare_polynomial(c):
     g = twisted_algebra(sl2_sum(c))
     rep = trivial_representation(g)
@@ -345,3 +350,103 @@ def test_whitehead_lemmas_adjoint(c):
     rep = adjoint_representation(twisted_algebra(sl2_sum(c)))
     assert cohomology_dims(rep, 1)[3] == 0
     assert cohomology_dims(rep, 2)[3] == 0
+
+
+# -- oracles sharing neither the wedge nor the elimination ----------------------
+
+# Poincaré polynomials at phi = Id, trivial coefficients: the Heisenberg algebra,
+# Heisenberg ⊕ a line, and sl(2)
+POINCARE = {"heisenberg": (heisenberg, [1, 2, 2, 1]),
+            "nilpotent4": (nilpotent4, [1, 3, 4, 3, 1]),
+            "sl2": (lambda: twisted_algebra(sl2_example()), [1, 0, 0, 1])}
+
+
+def poincare(g):
+    rep = trivial_representation(g)
+    return [cohomology_dims(rep, k)[3] for k in range(g.dim + 2)]
+
+
+@pytest.mark.parametrize("a, b", [("heisenberg", "nilpotent4"), ("heisenberg", "sl2"),
+                                  ("nilpotent4", "sl2"), ("sl2", "heisenberg")])
+def test_kunneth_for_direct_sums_at_identity(a, b):
+    (make_a, pa), (make_b, pb) = POINCARE[a], POINCARE[b]
+    g = direct_sum(make_a(), make_b())
+    expected = [sum(pa[i] * pb[k - i] for i in range(len(pa)) if 0 <= k - i < len(pb))
+                for k in range(g.dim + 2)]
+    assert poincare(g) == expected
+
+
+@pytest.mark.parametrize("make", [lambda: heisenberg(2, -1), lambda: nilpotent4(-1, 1),
+                                  sl2_example, lambda: sl2_sum(2)])
+def test_dims_are_invariant_under_change_of_basis(make):
+    g = make()
+    h = transport_algebra(g, random_invertible(random.Random(g.dim), g.dim))
+    assert h != g
+    for rep_of in (trivial_representation, adjoint_representation):
+        for k in range(g.dim + 2):
+            assert cohomology_dims(rep_of(h), k) == cohomology_dims(rep_of(g), k)
+
+
+entry = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def vector_lists(draw):
+    """k vectors of length n >= k, about half their entries zero."""
+    k = draw(st.integers(0, 4))
+    n = draw(st.integers(max(k, 1), 6))
+    return [tuple(draw(entry) if draw(st.booleans()) else F(0) for _ in range(n))
+            for _ in range(k)]
+
+
+@given(vector_lists())
+@settings(max_examples=150, deadline=None)
+def test_wedge_is_the_determinant_expansion(vectors):
+    """Every k×k minor by `det_of`, and a cochain evaluated by the reference."""
+    k, n = len(vectors), len(vectors[0]) if vectors else 1
+    minors = {s: det_of([tuple(v[i] for i in s) for v in vectors])
+              for s in combinations(range(n), k)}
+    assert _wedge([sparse_vec(v) for v in vectors]) == {s: d for s, d in minors.items() if d}
+    f = Cochain(k, n, 1, tuple((F(sum(s) + 1, 3),) for s in combinations(range(n), k)))
+    assert f.evaluate(vectors) == _ref_evaluate(f, vectors)
+
+
+def arbitrary_action(rng, g):
+    """A module of dimension 1 or 2 with random twist and action, valid or not."""
+    m = rng.randint(1, 2)
+    def rnd():
+        return Matrix(m, m, [[rnd_frac(rng, -2, 2) for _ in range(m)] for _ in range(m)])
+    return Representation(g, m, rnd(), tuple(rnd() for _ in range(g.dim)))
+
+
+def test_builders_are_repr_identical_to_the_references():
+    rng = random.Random(20261019)
+    cases = 0
+    for g in [random_algebra(rng) for _ in range(10)] + [sl2_example()]:
+        for rep in (trivial_representation(g), adjoint_representation(g),
+                    random_representation(rng, g), arbitrary_action(rng, g)):
+            n, m = g.dim, rep.module_dim
+            for k in range(n + 2):
+                assert repr(hom_cochain_basis(rep, k)) == repr(reference_hom_basis(rep, k))
+                size = comb(n, k) * m
+                units = [Cochain(k, n, m, tuple(tuple(F(int(t * m + a == j)) for a in range(m))
+                                               for t in range(comb(n, k))))
+                         for j in range(size)]
+                want = Matrix.from_columns([reference_coboundary(u, rep).coords() for u in units],
+                                           rows=comb(n, k + 1) * m)
+                assert repr(coboundary_matrix(rep, k)) == repr(want)
+                cases += 1
+    assert cases >= 150
+
+
+@pytest.mark.parametrize("k", [2 ** 63 - 1, 10 ** 20])
+def test_huge_degrees_have_no_tuples(k, monkeypatch):
+    """No k-tuple exists, so nothing is enumerated and no power of phi is taken."""
+    def power(self, e):
+        raise AssertionError("phi^(k-1) computed although no (k+1)-tuple exists")
+    monkeypatch.setattr(Matrix, "power", power)
+    rep = adjoint_representation(sl2_example())
+    assert cohomology_dims(rep, k) == (0, 0, 0, 0)
+    assert hom_cochain_basis(rep, k) == []
+    assert coboundary_matrix(rep, k).shape() == (0, 0)
+    assert zero_cochain(k, 3, 3).comps == ()

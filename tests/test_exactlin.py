@@ -9,8 +9,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from helpers import (reference_inverse, reference_rank_and_kernel,
                      reference_solve_linear, sl2_sum)
-from homlie2.cohomology import (_hom_system, _kernel_columns, adjoint_representation,
-                                coboundary_matrix, trivial_representation)
+from homlie2.cohomology import (_hom_system, adjoint_representation, coboundary_matrix,
+                                trivial_representation)
 from homlie2.errors import InputError
 from homlie2.exactlin import (Matrix, _rref, det_of, in_span, inverse, rank,
                               rank_and_kernel, rat, solve_linear)
@@ -178,6 +178,16 @@ def test_inverse_matches_reference(m):
     assert repr(inverse_or_none(m)) == repr(reference_inverse(m))
 
 
+@given(rational_matrices(), st.integers(0, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_product_matches_dense_reference(a, cols, data):
+    """The int product against Σ_t a[i, t]·b[t, j] summed in Fractions."""
+    b = Matrix(a.cols, cols, [[data.draw(entries) for _ in range(cols)] for _ in range(a.cols)])
+    want = Matrix(a.rows, cols, [[sum((a[i, t] * b[t, j] for t in range(a.cols)), F(0))
+                                  for j in range(cols)] for i in range(a.rows)])
+    assert repr(a * b) == repr(want)
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_empty_shapes_match_reference(shape):
     m = Matrix.zeros(*shape)
@@ -193,9 +203,12 @@ def test_cohomology_systems_match_reference(c):
     for r in (trivial_representation(g), adjoint_representation(g)):
         # k = 3 stops at module dim 3: the adjoint sl(2)^2 system there is 120x120
         for k in range(4 if r.module_dim <= 3 else 3):
-            hom = _hom_system(r, k)
+            rows = _hom_system(r, k)
+            hom = Matrix(len(rows), len(rows), [[row.get(j, 0) for j in range(len(rows))]
+                                                for row in rows])
             assert_matches_reference(hom)
-            assert_matches_reference(coboundary_matrix(r, k) * _kernel_columns(hom))
+            kernel = Matrix.from_columns(rank_and_kernel(hom)[1], rows=hom.cols)
+            assert_matches_reference(coboundary_matrix(r, k) * kernel)
 
 
 def sympy_rref(m):
@@ -209,7 +222,7 @@ def sympy_rref(m):
 @given(rational_matrices())
 @settings(max_examples=80, deadline=None)
 def test_rref_matches_sympy(m):
-    pivots, rows = _rref(m.data, m.cols)
-    ours = [[F(a, row[pc]) for a in row] for row, pc in zip(rows, pivots)]
+    pivots, rows = _rref([dict(enumerate(r)) for r in m.data], m.cols)
+    ours = [[F(row.get(j, 0), row[pc]) for j in range(m.cols)] for row, pc in zip(rows, pivots)]
     assert (pivots, ours) == sympy_rref(m)
     assert rank(m) == len(pivots)

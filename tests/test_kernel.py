@@ -2,8 +2,7 @@
 
 `bilinear_eval`, `trilinear_eval` and `Matrix.apply` must return vectors
 equal (==) to the reference loops in `tests/helpers.py`, holding only ints
-and Fractions, never a float; so must the evaluators built on them
-(`Representation.rho_at`, the form pairing), and
+and Fractions, never a float; so must the form pairing built on them, and
 `dual_representation` must give what its old pairing gate gave.  Every
 structure the constructors build must still hold only Fractions.
 """
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (random_algebra, random_representation, reference_apply, reference_bilinear_eval, reference_dual_gate,
-                     reference_dual_representation, reference_pair, reference_rho_at,
+                     reference_dual_representation, reference_pair,
                      reference_trilinear_eval)
 from homlie2.cohomology import Representation, dual_representation
 from homlie2.constructions import (_pair, l3_from_B, quadratic,
@@ -89,20 +88,6 @@ def test_apply_matches_reference(data, rows, cols):
 
 def random_matrix(draw, rows, cols):
     return Matrix(rows, cols, nested(draw, (rows, cols)) if rows else [])
-
-
-@given(st.data(), st.integers(0, 2 ** 32))
-@settings(max_examples=150, deadline=None)
-def test_rho_at_matches_reference(data, seed):
-    rng = random.Random(seed)
-    g = random_algebra(rng)
-    r = random_representation(rng, g)
-    if data.draw(st.booleans()):  # an arbitrary action, valid or not
-        m = r.module_dim
-        r = Representation(g, m, r.A, tuple(random_matrix(data.draw, m, m) for _ in range(g.dim)))
-    x = data.draw(vectors(g.dim))
-    assert repr(r.rho_at(x)) == repr(reference_rho_at(r, x))
-    assert all(type(a) is Fraction for row in r.rho_at(x).data for a in row)
 
 
 @given(st.data(), dims)

@@ -25,7 +25,7 @@ from helpers import (heisenberg, identity_complex, random_algebra, random_repres
                      reference_check_left_symmetric, reference_check_quadratic,
                      reference_check_representation, reference_check_symplectic,
                      reference_leftsym_d_report, shift_strict, sl2_sum)
-from homlie2.cohomology import Representation, check_representation
+from homlie2.cohomology import check_representation
 from homlie2.constructions import (CrossedModule, HomLeftSymmetric, QuadraticHomLie,
                                    check_crossed_module, check_left_symmetric, check_quadratic,
                                    check_symplectic, leftsym_d_report, sl2_example,
@@ -303,8 +303,7 @@ def count_evaluations(monkeypatch) -> list:
                 for name, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, name, counting(attr, original))
-    for cls, attr in ((Matrix, "apply"), (Representation, "rho_at")):
-        monkeypatch.setattr(cls, attr, counting(attr, vars(cls)[attr]))
+    monkeypatch.setattr(Matrix, "apply", counting("apply", vars(Matrix)["apply"]))
     return calls
 
 
@@ -338,7 +337,7 @@ STRUCTURAL = {"two_term": (check_two_term, two_term_pair),
 @pytest.mark.parametrize("name", sorted(STRUCTURAL))
 def test_no_check_evaluates_its_laws_tuple_by_tuple(name, monkeypatch):
     """On a passing and on a failing input, no check calls `bilinear_eval`,
-    `trilinear_eval`, `Matrix.apply` or `Representation.rho_at`."""
+    `trilinear_eval` or `Matrix.apply` (`Representation.rho_at` is gone)."""
     check, pair = STRUCTURAL[name]
     passing, failing = pair()
     calls = count_evaluations(monkeypatch)
