@@ -37,11 +37,6 @@ from .modelfile import (LeftSymmetricFile, ModelError, load_model, save_model,
                         serialize_model)
 from .reports import CheckReport, merge_reports
 
-CONSTRUCT_KINDS = ("string", "skeletal", "strict-from-crossed",
-                   "crossed-from-strict", "strict-from-symplectic",
-                   "strict-from-leftsym")
-
-
 def _emit(report: CheckReport, as_json: bool, extra: dict | None = None) -> None:
     if as_json:
         doc = report.as_dict()
@@ -121,35 +116,29 @@ def _cmd_cohomology(args) -> int:
     return 0
 
 
+def _strict_from_leftsym_file(record: LeftSymmetricFile) -> TwoTermHL:
+    if record.d is None:
+        raise InputError("left_symmetric file needs a 'd' matrix for this construction")
+    return strict_from_leftsym(record.product, record.d)
+
+
+# construct KIND: the record its input file must hold, that file's kind, the construction
+CONSTRUCTIONS = {
+    "string": (HomLieAlgebra, "hom_lie", string_from_semisimple),
+    "skeletal": (QuadraticHomLie, "quadratic", skeletal_from_quadratic),
+    "strict-from-crossed": (CrossedModule, "crossed_module", crossed_to_strict),
+    "crossed-from-strict": (TwoTermHL, "two_term_hl", strict_to_crossed),
+    "strict-from-symplectic": (SymplecticHomLie, "symplectic", strict_from_symplectic),
+    "strict-from-leftsym": (LeftSymmetricFile, "left_symmetric", _strict_from_leftsym_file),
+}
+
+
 def _cmd_construct(args) -> int:
     record = load_model(args.input)
-    kind = args.kind
-    if kind == "string":
-        if not isinstance(record, HomLieAlgebra):
-            raise InputError("construct string expects a hom_lie file")
-        out = string_from_semisimple(record)
-    elif kind == "skeletal":
-        if not isinstance(record, QuadraticHomLie):
-            raise InputError("construct skeletal expects a quadratic file")
-        out = skeletal_from_quadratic(record)
-    elif kind == "strict-from-crossed":
-        if not isinstance(record, CrossedModule):
-            raise InputError("construct strict-from-crossed expects a crossed_module file")
-        out = crossed_to_strict(record)
-    elif kind == "crossed-from-strict":
-        if not isinstance(record, TwoTermHL):
-            raise InputError("construct crossed-from-strict expects a two_term_hl file")
-        out = strict_to_crossed(record)
-    elif kind == "strict-from-symplectic":
-        if not isinstance(record, SymplecticHomLie):
-            raise InputError("construct strict-from-symplectic expects a symplectic file")
-        out = strict_from_symplectic(record)
-    else:  # strict-from-leftsym
-        if not isinstance(record, LeftSymmetricFile):
-            raise InputError("construct strict-from-leftsym expects a left_symmetric file")
-        if record.d is None:
-            raise InputError("left_symmetric file needs a 'd' matrix for this construction")
-        out = strict_from_leftsym(record.product, record.d)
+    record_type, file_kind, construct = CONSTRUCTIONS[args.kind]
+    if not isinstance(record, record_type):
+        raise InputError(f"construct {args.kind} expects a {file_kind} file")
+    out = construct(record)
     save_model(out, args.out)
     report = _report_for(out)
     _emit(report, args.json, extra={"written": args.out})
@@ -171,15 +160,12 @@ def _cmd_builtin(args) -> int:
     if args.name != "sl2":
         raise InputError(f"unknown builtin {args.name!r}; available: sl2")
     g = sl2_example()
-    if args.out:
-        save_model(g, args.out)
-        extra = {"written": args.out}
-    else:
-        print(serialize_model(g), end="")
-        extra = None
     report = check_hom_lie(g)
     if args.out:
-        _emit(report, args.json, extra=extra)
+        save_model(g, args.out)
+        _emit(report, args.json, extra={"written": args.out})
+    else:
+        print(serialize_model(g), end="")
     return 0 if report.ok else 1
 
 
@@ -204,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_cohomology)
 
     p = sub.add_parser("construct", help="run a construction and write its output")
-    p.add_argument("kind", choices=CONSTRUCT_KINDS)
+    p.add_argument("kind", choices=tuple(CONSTRUCTIONS))
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
@@ -235,13 +221,9 @@ def main(argv=None) -> int:
     except (ModelError, InputError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            print(exc.report.table(), file=sys.stderr)
-        return 1
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
+    except (PreconditionError, CheckFailure) as exc:
+        what = "precondition" if isinstance(exc, PreconditionError) else "check"
+        print(f"{what} failed: {exc}", file=sys.stderr)
         if exc.report is not None:
             print(exc.report.table(), file=sys.stderr)
         return 1

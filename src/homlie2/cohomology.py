@@ -289,6 +289,14 @@ def _coboundary_rows(r: Representation, k: int) -> list[dict]:
     return rows
 
 
+def _apply_rows(rows: list[dict], v: Vec) -> Vec:
+    """The sparse rows times v, each entry as `Matrix.apply` gives it: an int
+    where every product is of integral entries."""
+    xs = dict(sparse_vec(v))
+    return tuple(sum((c.numerator if c.denominator == 1 else c) * xs[j]
+                     for j, c in row.items() if c and j in xs) for row in rows)
+
+
 def coboundary(f: Cochain, r: Representation) -> Cochain:
     """The twisted coboundary of a k-hom-cochain, k >= 1: D_k applied to f."""
     if f.degree < 1:
@@ -296,7 +304,7 @@ def coboundary(f: Cochain, r: Representation) -> Cochain:
                          "(degree 0 follows the A-fixed convention, see cohomology_dims)")
     if not is_hom_cochain(f, r):
         raise PreconditionError("coboundary requires a hom-cochain (A∘f = f∘phi^⊗k)")
-    flat = coboundary_matrix(r, f.degree).apply(f.coords())
+    flat = _apply_rows(_coboundary_rows(r, f.degree), f.coords())
     return cochain_from_coords(f.degree + 1, f.alg_dim, f.module_dim, flat)
 
 
@@ -307,7 +315,7 @@ def degree0_coboundary(v: Vec, r: Representation) -> Cochain:
     if r.A.apply(v) != tuple(v):
         raise PreconditionError("degree-0 coboundary requires an A-fixed vector")
     return cochain_from_coords(1, r.algebra.dim, r.module_dim,
-                               coboundary_matrix(r, 0).apply(tuple(v)))
+                               _apply_rows(_coboundary_rows(r, 0), v))
 
 
 # --------------------------------------------------------------------------
@@ -379,7 +387,7 @@ def class_is_trivial(f: Cochain, r: Representation) -> bool:
         raise PreconditionError("class_is_trivial requires a hom-cochain")
     if f.degree < 1:
         raise InputError("class_is_trivial is for degree >= 1")
-    if not is_zero_vec(coboundary_matrix(r, f.degree).apply(f.coords())):
+    if any(_apply_rows(_coboundary_rows(r, f.degree), f.coords())):
         raise PreconditionError("class_is_trivial requires a closed cochain (df = 0)")
     return _is_exact(f, r)
 

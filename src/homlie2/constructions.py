@@ -22,11 +22,11 @@ from .cohomology import (Cochain, Representation, _is_exact, check_representatio
                          cochain_from_function, coboundary, dual_representation,
                          trivial_representation)
 from .errors import CheckFailure, InputError, PreconditionError
-from .exactlin import (F0, Matrix, Vec, _ap, _sum, dok, inverse, rank, solve_linear, vadd,
-                       vneg, zero_vec)
+from .exactlin import (F0, Matrix, Vec, _ap, _sum, dok, inverse, rank, rat,
+                       vadd, vneg, zero_vec)
 from .homlie import (HomLieAlgebra, HomLieMorphism, Tensor2, as_tensor2, check_hom_lie,
                      check_hom_lie_morphism, killing_form, twisted_algebra)
-from .hl2 import TwoTermHL, check_two_term
+from .hl2 import TwoTermHL, _skew3, check_two_term
 from .reports import CheckReport, LawChecker, merge_reports
 
 
@@ -107,15 +107,10 @@ def l3_from_B(q: QuadraticHomLie) -> Cochain:
     if not g.is_involutive():
         raise PreconditionError("l3_from_B requires an involutive twist")
     _require_form(q, "l3_from_B input")
-    n = g.dim
-    full = [[[_pair(q.B, g.bracket[i][j], g.basis(k)) for k in range(n)]
-             for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if full[i][j][k] != -full[j][i][k] or full[i][j][k] != -full[i][k][j]:
-                    raise CheckFailure("form is not invariant enough to give a skew l3")
-    f = cochain_from_function(3, n, 1, lambda t: (full[t[0]][t[1]][t[2]],))
+    t = _ap(_form(q.B), _ap(dok(g.bracket), "a", "b"), "c")     # B([a,b], c)
+    if _skew3(t):
+        raise CheckFailure("form is not invariant enough to give a skew l3")
+    f = cochain_from_function(3, g.dim, 1, lambda abc: (rat(t[1].get((*abc, 0), 0)),))
     if not coboundary(f, trivial_representation(g)).is_zero():
         raise CheckFailure("l3_from_B output is not closed")
     return f
@@ -129,8 +124,14 @@ def skeletal_from_quadratic(q: QuadraticHomLie) -> TwoTermHL:
 def _skeletal(g: HomLieAlgebra, f: Cochain) -> TwoTermHL:
     """The skeletal structure whose l3 is the verified closed 3-cochain f."""
     n = g.dim
-    l3 = tuple(tuple(tuple(f.evaluate([g.basis(i), g.basis(j), g.basis(k)])
-                           for k in range(n)) for j in range(n)) for i in range(n))
+
+    def at(t):              # f(e_i, e_j, e_k): the sign of the sort times f on the sorted triple
+        if len(set(t)) < 3:
+            return zero_vec(f.module_dim)
+        odd = (t[0] > t[1]) + (t[0] > t[2]) + (t[1] > t[2])
+        return vneg(f.component(sorted(t))) if odd % 2 else f.component(sorted(t))
+
+    l3 = tuple(tuple(tuple(at((i, j, k)) for k in range(n)) for j in range(n)) for i in range(n))
     l2_01 = tuple(tuple(zero_vec(1) for _ in range(1)) for _ in range(n))
     out = TwoTermHL(n, 1, Matrix.zeros(n, 1), g.bracket, l2_01, l3,
                     g.phi, Matrix.identity(1))
@@ -418,21 +419,12 @@ def _solve_star(s: SymplecticHomLie) -> tuple[HomLeftSymmetric, LeftSymmetricDer
                                 report=report)
     g, omega = s.algebra, s.omega
     n = g.dim
-    # row z of the system: (Omega Phi)^T s = rhs with rhs[z] = -omega(phi y, [x, e_z])
-    lhs_mat = (omega * g.phi).transpose()
-    star_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            phi_y = g.phi.column(j)
-            rhs = tuple(-_pair(omega, phi_y, g.bracket_vec(g.basis(i), g.basis(z)))
-                        for z in range(n))
-            sol = solve_linear(lhs_mat, rhs)
-            if sol is None:
-                raise CheckFailure("star product system is unexpectedly unsolvable")
-            row.append(sol)
-        star_rows.append(tuple(row))
-    a = HomLeftSymmetric(n, tuple(star_rows), g.phi)
+    # x*y = ((Omega Phi)^T)^{-1} r with r_z = -omega(phi y, [x, e_z]); omega and phi are invertible
+    r = _ap(_form(omega), _ap(dok(g.phi), "b"), _ap(dok(g.bracket), "a", "c"))[1]
+    star = _ap(dok(inverse((omega * g.phi).transpose())),
+               ("ab", {(i, j, z): -x for (i, j, z, _), x in r.items()}))[1]
+    a = HomLeftSymmetric(n, [[[star.get((i, j, k), 0) for k in range(n)] for j in range(n)]
+                             for i in range(n)], g.phi)
     ls_report, derived = check_left_symmetric(a)
     if derived is None:
         raise CheckFailure("solved star product fails the left-symmetric laws",

@@ -163,9 +163,12 @@ def compose_morphisms(first: HomLieMorphism, second: HomLieMorphism) -> HomLieMo
 
 
 def killing_form(g: HomLieAlgebra) -> Matrix:
-    """B(x,y) = tr(ad_x ∘ ad_y), the adjoint taken in g's own bracket."""
-    ads = [g.ad(g.basis(i)) for i in range(g.dim)]
-    data = [[(ads[i] * ads[j]).trace() for j in range(g.dim)] for i in range(g.dim)]
+    """B(x,y) = tr(ad_x ∘ ad_y), the adjoint taken in g's own bracket: the
+    sum over c of the c-th coordinate of [x, [y, e_c]]."""
+    br, data = partial(_ap, dok(g.bracket)), [[0] * g.dim for _ in range(g.dim)]
+    for (a, b, c, e), x in br("a", br("b", "c"))[1].items():
+        if c == e:
+            data[a][b] += x
     return Matrix(g.dim, g.dim, data)
 
 

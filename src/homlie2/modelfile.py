@@ -217,35 +217,21 @@ def load_model(path):
 # Serialization
 # --------------------------------------------------------------------------
 
-def _s(x: Fraction) -> str:
-    return str(x)
-
-
-def _s_vec(v):
-    return [_s(x) for x in v]
-
-
-def _s_mat(m: Matrix):
-    return [_s_vec(row) for row in m.data]
-
-
-def _s_t2(t):
-    return [[_s_vec(v) for v in row] for row in t]
-
-
-def _s_t3(t):
-    return [_s_t2(layer) for layer in t]
+def _s(x):
+    """A Fraction as its canonical string; a vector, matrix or tensor as nested lists of them."""
+    if isinstance(x, Matrix):
+        x = x.data
+    return [_s(e) for e in x] if isinstance(x, tuple) else str(x)
 
 
 def _doc_hom_lie(g: HomLieAlgebra) -> dict:
-    return {"kind": "hom_lie", "dim": g.dim, "bracket": _s_t2(g.bracket),
-            "phi": _s_mat(g.phi)}
+    return {"kind": "hom_lie", "dim": g.dim, "bracket": _s(g.bracket), "phi": _s(g.phi)}
 
 
 def _doc_two_term(v: TwoTermHL) -> dict:
     return {"kind": "two_term_hl", "dim0": v.dim0, "dim1": v.dim1,
-            "d": _s_mat(v.d), "l2_00": _s_t2(v.l2_00), "l2_01": _s_t2(v.l2_01),
-            "l3": _s_t3(v.l3), "phi0": _s_mat(v.phi0), "phi1": _s_mat(v.phi1)}
+            "d": _s(v.d), "l2_00": _s(v.l2_00), "l2_01": _s(v.l2_01),
+            "l3": _s(v.l3), "phi0": _s(v.phi0), "phi1": _s(v.phi1)}
 
 
 def model_document(record) -> dict:
@@ -253,32 +239,29 @@ def model_document(record) -> dict:
         return _doc_hom_lie(record)
     if isinstance(record, Representation):
         return {"kind": "representation", "algebra": _doc_hom_lie(record.algebra),
-                "module_dim": record.module_dim, "A": _s_mat(record.A),
-                "rho": [_s_mat(r) for r in record.rho]}
+                "module_dim": record.module_dim, "A": _s(record.A), "rho": _s(record.rho)}
     if isinstance(record, TwoTermHL):
         return _doc_two_term(record)
     if isinstance(record, QuadraticHomLie):
-        return {"kind": "quadratic", "algebra": _doc_hom_lie(record.algebra),
-                "B": _s_mat(record.B)}
+        return {"kind": "quadratic", "algebra": _doc_hom_lie(record.algebra), "B": _s(record.B)}
     if isinstance(record, CrossedModule):
         return {"kind": "crossed_module", "h": _doc_hom_lie(record.h),
-                "g": _doc_hom_lie(record.g), "dt": _s_mat(record.dt),
-                "action": [_s_mat(r) for r in record.action]}
+                "g": _doc_hom_lie(record.g), "dt": _s(record.dt), "action": _s(record.action)}
     if isinstance(record, LeftSymmetricFile):
         doc = {"kind": "left_symmetric", "dim": record.product.dim,
-               "star": _s_t2(record.product.star), "phi": _s_mat(record.product.phi)}
+               "star": _s(record.product.star), "phi": _s(record.product.phi)}
         if record.d is not None:
-            doc["d"] = _s_mat(record.d)
+            doc["d"] = _s(record.d)
         return doc
     if isinstance(record, HomLeftSymmetric):
         return model_document(LeftSymmetricFile(record, None))
     if isinstance(record, SymplecticHomLie):
         return {"kind": "symplectic", "algebra": _doc_hom_lie(record.algebra),
-                "omega": _s_mat(record.omega)}
+                "omega": _s(record.omega)}
     if isinstance(record, HLMorphism):
         return {"kind": "hl_morphism", "source": _doc_two_term(record.source),
-                "target": _doc_two_term(record.target), "f0": _s_mat(record.f0),
-                "f1": _s_mat(record.f1), "f2": _s_t2(record.f2)}
+                "target": _doc_two_term(record.target), "f0": _s(record.f0),
+                "f1": _s(record.f1), "f2": _s(record.f2)}
     raise InputError(f"cannot serialize {type(record).__name__}")
 
 

@@ -47,7 +47,7 @@ def test_removed_names_are_gone():
 def test_per_tuple_evaluators_of_the_old_law_scans_are_gone():
     for cls, names in (
             (homlie2.TwoTermHL, ("l2_vv", "l2_mv", "l3_eval", "basis0")),
-            (homlie2.HomLie2Data, ("b_obj", "phi_obj", "phi_mor", "jac_eval", "jac_mor")),
+            (homlie2.HomLie2Data, ("b_obj", "b_mor", "phi_obj", "phi_mor", "jac_eval", "jac_mor")),
             (homlie2.TwoVectorSpace, ("mor_basis",)),
             (homlie2.CrossedModule, ("act",)),
             (homlie2.HomLeftSymmetric, ("star_vec", "basis")),
@@ -132,6 +132,7 @@ def count_scanned_cases(monkeypatch) -> dict:
     lambda: string_from_semisimple(sl2_sum(1)),
     lambda: string_from_semisimple(sl2_sum(2)),
     lambda: shift_strict(sl2_example()),
+    lambda: shift_strict(sl2_sum(2)),      # 46,656 bracket-interchange cases
 ])
 def test_scans_consume_the_benchmark_case_counts(make, monkeypatch):
     oracles = load_bench_module("oracles")

@@ -11,10 +11,10 @@ from helpers import (_ref_evaluate, direct_sum, heisenberg, nilpotent4, random_a
                      random_hom_cochain, random_invertible, random_representation,
                      reference_coboundary, reference_dims, reference_hom_basis,
                      reference_rho_at, rnd_frac, sl2_sum, transport_algebra)
-from homlie2.cohomology import (Cochain, Representation, _wedge,
+from homlie2.cohomology import (Cochain, Representation, _apply_rows, _coboundary_rows, _wedge,
                                 adjoint_representation, check_representation,
                                 class_is_trivial, coboundary, coboundary_matrix,
-                                cochain_from_function,
+                                cochain_from_coords, cochain_from_function,
                                 cohomology_dims, cohomology_inclusion_check,
                                 degree0_coboundary, dual_representation,
                                 hom_cochain_basis,
@@ -437,6 +437,36 @@ def test_builders_are_repr_identical_to_the_references():
                 assert repr(coboundary_matrix(rep, k)) == repr(want)
                 cases += 1
     assert cases >= 150
+
+
+def test_coboundaries_apply_the_rows_as_the_dense_matrix_does():
+    """`coboundary`, `degree0_coboundary` and the closedness test of
+    `class_is_trivial` apply the sparse rows of d_k; each answer is that of
+    `coboundary_matrix(r, k).apply`, repr for repr (an entry is an int where
+    every product is of integral entries)."""
+    rng = random.Random(20261020)
+    types, cases = set(), 0
+    for g in [random_algebra(rng) for _ in range(8)] + [sl2_example(), sl2_sum(2)]:
+        for rep in (trivial_representation(g), adjoint_representation(g),
+                    random_representation(rng, g), arbitrary_action(rng, g)):
+            n, m = g.dim, rep.module_dim
+            for k in range(min(n, 4) + 1):
+                for f in hom_cochain_basis(rep, k)[:2] + [random_hom_cochain(rng, rep, k)]:
+                    want = coboundary_matrix(rep, k).apply(f.coords())
+                    got = coboundary(f, rep) if k else degree0_coboundary(f.coords(), rep)
+                    assert repr(got) == repr(cochain_from_coords(k + 1, n, m, want))
+                    if k and any(want):
+                        with pytest.raises(PreconditionError, match="closed cochain"):
+                            class_is_trivial(f, rep)
+                    elif k:
+                        class_is_trivial(f, rep)            # closed, so it answers
+                    types |= set(map(type, want))
+                    cases += 1
+                # any vector, integral Fractions included, against the dense product
+                rows, d = _coboundary_rows(rep, k), coboundary_matrix(rep, k)
+                v = tuple(rng.choice((F(0), F(1), F(-2), F(1, 2))) for _ in range(d.cols))
+                assert repr(_apply_rows(rows, v)) == repr(d.apply(v))
+    assert cases >= 200 and types == {int, Fraction}
 
 
 @pytest.mark.parametrize("k", [2 ** 63 - 1, 10 ** 20])

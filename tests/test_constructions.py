@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from helpers import random_involution, rnd_frac, shift_strict
+from helpers import (heisenberg, nilpotent4, random_involution, reference_pair, rnd_frac,
+                     shift_strict, sl2_sum)
 from homlie2.cohomology import (Representation, check_representation,
                                 class_is_trivial, coboundary,
                                 trivial_representation)
@@ -116,6 +118,30 @@ def test_string_from_semisimple():
     assert check_two_term(v).ok
     with pytest.raises(PreconditionError, match="not semisimple"):
         string_from_semisimple(abelian_algebra(2, Matrix.diagonal([-1, -1])))
+
+
+@pytest.mark.parametrize("make", [lambda: sl2_sum(1), lambda: sl2_sum(2), lambda: sl2_sum(3),
+                                  heisenberg, nilpotent4, lambda: abelian_algebra(2)])
+def test_killing_form_is_the_trace_of_products_of_ad(make):
+    g = make()
+    ads = [g.ad(g.basis(i)) for i in range(g.dim)]
+    want = Matrix(g.dim, g.dim, [[(ads[i] * ads[j]).trace() for j in range(g.dim)]
+                                 for i in range(g.dim)])
+    assert repr(killing_form(g)) == repr(want)
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_string_l3_is_the_killing_form_on_the_bracket(c):
+    """l3(e_i, e_j, e_k) = K([e_i, e_j], e_k), all Fractions, 0 on a repeated index."""
+    g = sl2_sum(c)
+    K, n = killing_form(g), g.dim
+    v = string_from_semisimple(g)
+    units = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+    for i, j, k in product(range(n), repeat=3):
+        want = (reference_pair(K, g.bracket[i][j], units[k]),)
+        assert v.l3[i][j][k] == want and type(v.l3[i][j][k][0]) is Fraction
+    assert repr(l3_from_B(QuadraticHomLie(g, K)).comps) == repr(tuple(
+        v.l3[i][j][k] for i, j, k in combinations(range(n), 3)))
 
 
 def test_string_class_is_nontrivial():

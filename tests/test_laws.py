@@ -270,6 +270,85 @@ def test_each_stage_breaks_first_where_the_reference_says(field, position, stage
     assert broken_stage(assert_hom_lie2_agrees(L)[0]) == stage
 
 
+# -- bracket-interchange: decided where at most two indices are off 0 -----------------
+
+INTERCHANGE_VALUES = (0, 0, 0, 1, -1, 2, F(1, 2))
+
+
+def interchange_candidate(rng: random.Random) -> HomLie2Data:
+    """functor_T of a random two-term structure with n0, n1 in 0..3, then maybe
+    one entry of d or of the arrow bracket changed at the last V0 or V1
+    index, so that a first failure lies late, such as (2, 0, 0, 2, 0, 0).
+    Its d is 0, or c·Id with l2 on V0 x V1 that on V0 x V0 made skew (both
+    pass bracket-interchange), or random."""
+    def draw(*shape):
+        if not shape:
+            return rng.choice(INTERCHANGE_VALUES)
+        return [draw(*shape[1:]) for _ in range(shape[0])]
+
+    kind, n0 = rng.choice(("zero d", "scalar d", "random d")), rng.choice((0, 1, 2, 3, 3, 3))
+    n1 = n0 if kind == "scalar d" else rng.choice((0, 1, 2, 3, 3, 3))
+    l2, act, d = draw(n0, n0, n0), draw(n0, n1, n1), Matrix(n0, n1, draw(n0, n1))
+    if kind == "zero d":
+        d = Matrix.zeros(n0, n1)
+    elif kind == "scalar d":
+        for i, j in product(range(n0), repeat=2):
+            l2[i][j] = [-x for x in l2[j][i]] if j < i else l2[i][j] if j > i else [0] * n0
+        d, act = Matrix.diagonal([rng.choice((1, -1, 2, F(1, 2)))] * n0), l2
+    v = TwoTermHL(n0, n1, d, l2, act, draw(n0, n0, n0, n1), Matrix(n0, n0, draw(n0, n0)),
+                  Matrix(n1, n1, draw(n1, n1)))
+    late = [p for p in (n0 - 1, n0 + n1 - 1) if p >= 0]
+    change = rng.choice(("none", "d", "bracket_mor", "bracket_mor"))
+    if change == "d" and n0 and n1:
+        rows = [list(row) for row in v.d.data]
+        rows[rng.randrange(n0)][n1 - 1] += rng.choice((1, -1))
+        v = dataclasses.replace(v, d=Matrix(n0, n1, rows))
+    L = functor_T(v)
+    if change == "bracket_mor" and late:
+        bm = [[list(mu) for mu in row] for row in L.bracket_mor]
+        bm[rng.choice(late)][rng.choice(late)][rng.randrange(n0 + n1)] += rng.choice((1, -1))
+        L = dataclasses.replace(L, bracket_mor=bm)
+    return L
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=50, deadline=None)
+def test_interchange_matches_the_per_tuple_scan(seed):
+    """The whole report of check_hom_lie2 equals its per-tuple reference's."""
+    L = interchange_candidate(random.Random(seed))
+    assert check_hom_lie2(L) == reference_check_hom_lie2(L)
+
+
+def test_interchange_grid_fails_late_and_through_d():
+    """Seeded candidates agree with the reference.  Interchange passes in
+    some; it fails in some at i = 2, and in some with d != 0 at an index 2.
+    A first failure is never off 0 in more than two slots."""
+    rng = random.Random(13)
+    witnesses, late_with_d = [], False
+    for _ in range(50):
+        L = interchange_candidate(rng)
+        item = check_hom_lie2(L).item("bracket-interchange")
+        assert item == reference_check_hom_lie2(L).item("bracket-interchange")
+        witnesses.append(item.witness)
+        late_with_d |= not item.passed and 2 in item.witness and not L.tvs.d.is_zero()
+    assert None in witnesses and late_with_d
+    assert any(w and w[0] == 2 for w in witnesses)
+    assert all(w is None or w.count(0) >= 4 for w in witnesses)
+
+
+@pytest.mark.parametrize("n0, n1", [(3, 0), (0, 3), (0, 0), (2, 0)])
+def test_interchange_on_empty_ranges(n0, n1):
+    """With no V0 or no V1 basis vector the law has no case and passes."""
+    rng = random.Random(n0 * 4 + n1)
+    l2 = [[[rng.choice((0, 1, -1)) for _ in range(n0)] for _ in range(n0)] for _ in range(n0)]
+    v = TwoTermHL(n0, n1, Matrix.zeros(n0, n1), l2, [[[0] * n1] * n1] * n0,
+                  [[[[0] * n1] * n0] * n0] * n0, Matrix.identity(n0), Matrix.identity(n1))
+    L = functor_T(v)
+    report = check_hom_lie2(L)
+    assert report.item("bracket-interchange").passed
+    assert report == reference_check_hom_lie2(L)
+
+
 # -- check_hl_morphism against the per-tuple reference --------------------------------
 
 def base_morphism(base: str, dense: bool) -> HLMorphism:

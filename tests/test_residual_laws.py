@@ -32,7 +32,8 @@ from homlie2.constructions import (CrossedModule, HomLeftSymmetric, QuadraticHom
                                    star_from_symplectic, strict_to_crossed,
                                    string_from_semisimple)
 from homlie2.exactlin import Matrix
-from homlie2.hl2 import check_hl_morphism, check_two_term, identity_hl_morphism
+from homlie2.hl2 import (check_hl_morphism, check_hom_lie2, check_two_term, functor_T,
+                         identity_hl_morphism)
 from homlie2.homlie import HomLieAlgebra, HomLieMorphism, check_hom_lie_morphism, killing_form
 from homlie2.modelfile import load_model
 from homlie2.reports import CheckReport
@@ -317,6 +318,11 @@ def hl_morphism_pair():
     return (m,), (perturbed(m, "f2", 7, 1),)
 
 
+def hom_lie2_pair():
+    L = functor_T(shift_strict(sl2_example()))
+    return (L,), (perturbed(L, "bracket_mor", 40, 1),)
+
+
 def from_candidates(name):
     """A valid candidate, and the first of 100 perturbed ones that fails a law."""
     def pair():
@@ -331,6 +337,7 @@ def from_candidates(name):
 
 STRUCTURAL = {"two_term": (check_two_term, two_term_pair),
               "hl_morphism": (check_hl_morphism, hl_morphism_pair),
+              "hom_lie2": (check_hom_lie2, hom_lie2_pair),
               **{name: (CASES[name][0], from_candidates(name)) for name in CASES}}
 
 
