@@ -31,9 +31,9 @@ from homlie2.constructions import (CrossedModule, HomLeftSymmetric,
                                    sl2_example, strict_from_leftsym,
                                    strict_from_symplectic, string_from_semisimple)
 from homlie2.errors import HomLieError
-from homlie2.exactlin import Matrix, rank, rank_and_kernel, unit_vec
+from homlie2.exactlin import Matrix, _ap, dok, rank, rank_and_kernel
 from homlie2.hl2 import TwoTermHL, check_two_term
-from homlie2.homlie import HomLieAlgebra, abelian_algebra, bilinear_eval, check_hom_lie
+from homlie2.homlie import HomLieAlgebra, abelian_algebra, check_hom_lie
 from homlie2.modelfile import LeftSymmetricFile, save_model
 from homlie2.reports import CheckReport
 
@@ -180,9 +180,7 @@ def find_leftsym_with_d() -> LeftSymmetricFile:
                 except HomLieError:
                     continue
                 nonabelian = not derived.sub_adjacent.is_abelian()
-                interacts = any(
-                    any(x != 0 for x in bilinear_eval(a.star, d.column(m), unit_vec(2, nn), 2))
-                    for m in range(2) for nn in range(2))
+                interacts = bool(_ap(dok(a.star), _ap(dok(d), "a"), "b")[1])   # (dm)*n != 0
                 tier = 2 if nonabelian else (1 if interacts else 0)
                 cand = (tier, LeftSymmetricFile(a, d))
                 if best is None or tier > best[0]:

@@ -39,8 +39,7 @@ from itertools import combinations
 
 from .errors import InputError, PreconditionError
 from .exactlin import (F0, Matrix, Vec, _ap, _fraction_kernel, _in_span, _kernel, _rref, _sum,
-                       _transpose, dok, is_zero_vec, sparse_form, sparse_vec, vadd, vscale,
-                       zero_vec)
+                       _transpose, dok, is_zero_vec, sparse_vec, vadd, vscale, zero_vec)
 from .homlie import HomLieAlgebra
 from .reports import CheckReport, LawChecker
 
@@ -269,7 +268,9 @@ def _coboundary_rows(r: Representation, k: int) -> list[dict]:
     if not index:
         return []
     phi_cols = [sparse_vec(c) for c in g.phi.columns()]
-    bracket = sparse_form(g.bracket)
+    bracket: dict = {}    # [e_i, e_j] as (index, coefficient) pairs
+    for (i, j, c), x in dok(g.bracket).items():
+        bracket.setdefault((i, j), []).append((c, x))
     rho_tw = [[] for _ in range(g.dim)]   # rho(phi^{k−1} e_i) as (column b, row a, entry)
     for (i, b, a), x in _ap(dok(r.rho), ("i", dok(g.phi.power(max(k - 1, 0)))), "m")[1].items():
         rho_tw[i].append((b, a, x))
@@ -281,7 +282,8 @@ def _coboundary_rows(r: Representation, k: int) -> list[dict]:
             for b, a, x in rho_tw[t[pos]]:
                 block[a][c0 + b] = block[a].get(c0 + b, 0) + (-x if pos % 2 else x)
         for p, q in combinations(range(k + 1), 2):
-            args = [bracket[t[p]][t[q]]] + [phi_cols[t[s]] for s in range(k + 1) if s not in (p, q)]
+            args = [bracket.get((t[p], t[q]), ())]
+            args += [phi_cols[t[s]] for s in range(k + 1) if s not in (p, q)]
             for s, d in _wedge(args).items():
                 for a, row in enumerate(block):
                     row[cols[s] * m + a] = row.get(cols[s] * m + a, 0) + (-d if (p + q) % 2 else d)
@@ -291,10 +293,10 @@ def _coboundary_rows(r: Representation, k: int) -> list[dict]:
 
 def _apply_rows(rows: list[dict], v: Vec) -> Vec:
     """The sparse rows times v, each entry as `Matrix.apply` gives it: an int
-    where every product is of integral entries."""
+    where every product is of integral entries, and the int 0 where the sum is 0."""
     xs = dict(sparse_vec(v))
     return tuple(sum((c.numerator if c.denominator == 1 else c) * xs[j]
-                     for j, c in row.items() if c and j in xs) for row in rows)
+                     for j, c in row.items() if c and j in xs) or 0 for row in rows)
 
 
 def coboundary(f: Cochain, r: Representation) -> Cochain:
@@ -312,7 +314,7 @@ def degree0_coboundary(v: Vec, r: Representation) -> Cochain:
     """(dv)(u) = rho(u)v for an A-fixed module vector v (artifact convention)."""
     if len(v) != r.module_dim:
         raise InputError("module vector has wrong length")
-    if r.A.apply(v) != tuple(v):
+    if _ap(dok(r.A), ("", dok(v)))[1] != dok(v):
         raise PreconditionError("degree-0 coboundary requires an A-fixed vector")
     return cochain_from_coords(1, r.algebra.dim, r.module_dim,
                                _apply_rows(_coboundary_rows(r, 0), v))

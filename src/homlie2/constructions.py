@@ -22,8 +22,7 @@ from .cohomology import (Cochain, Representation, _is_exact, check_representatio
                          cochain_from_function, coboundary, dual_representation,
                          trivial_representation)
 from .errors import CheckFailure, InputError, PreconditionError
-from .exactlin import (F0, Matrix, Vec, _ap, _sum, dok, inverse, rank, rat,
-                       vadd, vneg, zero_vec)
+from .exactlin import Matrix, _ap, _sum, dok, from_dok, inverse, rank, rat, vneg, zero_vec
 from .homlie import (HomLieAlgebra, HomLieMorphism, Tensor2, as_tensor2, check_hom_lie,
                      check_hom_lie_morphism, killing_form, twisted_algebra)
 from .hl2 import TwoTermHL, _skew3, check_two_term
@@ -45,14 +44,6 @@ class QuadraticHomLie:
         n = self.algebra.dim
         if self.B.shape() != (n, n):
             raise InputError(f"form must be {n}x{n}, got {self.B.shape()}")
-
-    def pair(self, x: Vec, y: Vec):
-        return _pair(self.B, x, y)
-
-
-def _pair(B: Matrix, x: Vec, y: Vec):
-    """x^T B y, a Fraction."""
-    return sum((a * b for a, b in zip(x, B.apply(y)) if a), F0)
 
 
 def _form(B: Matrix) -> dict:
@@ -234,8 +225,7 @@ def strict_to_crossed(v: TwoTermHL) -> CrossedModule:
     check_two_term(v).require("strict_to_crossed input")
     n0, n1 = v.dim0, v.dim1
     g = HomLieAlgebra(n0, v.l2_00, v.phi0)
-    h_bracket = tuple(tuple(v.l2_vm(v.d.column(a), v.basis1(b)) for b in range(n1))
-                      for a in range(n1))
+    h_bracket = from_dok(_ap(dok(v.l2_01), _ap(dok(v.d), "a"), "b")[1], (n1,) * 3)
     h = HomLieAlgebra(n1, h_bracket, v.phi1)
     action = tuple(Matrix.from_columns([v.l2_01[i][a] for a in range(n1)], rows=n1)
                    for i in range(n0))
@@ -248,8 +238,7 @@ def crossed_to_strict(cm: CrossedModule) -> TwoTermHL:
     """V0 = g, V1 = h, d = dt, l2(x,m) = x.m, l3 = 0."""
     check_crossed_module(cm).require("crossed_to_strict input")
     n0, n1 = cm.g.dim, cm.h.dim
-    l2_01 = tuple(tuple(cm.action[i].apply(cm.h.basis(a)) for a in range(n1))
-                  for i in range(n0))
+    l2_01 = tuple(tuple(cm.action[i].column(a) for a in range(n1)) for i in range(n0))
     l3 = tuple(tuple(tuple(zero_vec(n1) for _ in range(n0)) for _ in range(n0))
                for _ in range(n0))
     out = TwoTermHL(n0, n1, cm.dt, cm.g.bracket, l2_01, l3, cm.g.phi, cm.h.phi)
@@ -299,9 +288,8 @@ def check_left_symmetric(a: HomLeftSymmetric) -> tuple[CheckReport, LeftSymmetri
     if not report.ok:
         return report, None
 
-    bracket = tuple(tuple(vadd(a.star[i][j], vneg(a.star[j][i])) for j in range(n))
-                    for i in range(n))
-    sub = HomLieAlgebra(n, bracket, a.phi)
+    s = ("ab", dok(a.star))
+    sub = HomLieAlgebra(n, from_dok(_sum((1, s), (-1, s, "ba"))[1], (n, n, n)), a.phi)
     check_hom_lie(sub).require("sub-adjacent algebra")
     rho = tuple(Matrix.from_columns([a.star[i][j] for j in range(n)], rows=n)
                 for i in range(n))
@@ -375,9 +363,6 @@ class SymplecticHomLie:
         n = self.algebra.dim
         if self.omega.shape() != (n, n):
             raise InputError("omega has wrong shape")
-
-    def pair(self, x: Vec, y: Vec):
-        return _pair(self.omega, x, y)
 
     def sharp(self) -> Matrix:
         """Matrix of x -> omega(x, .) in the dual basis."""

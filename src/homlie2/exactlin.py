@@ -10,14 +10,14 @@ with content division, and normalised to the unique reduced row echelon
 form only where a Fraction is returned, so the answers are those of
 Fraction elimination.  Matrix products run on ints too.
 
-Tensor evaluation is sparse and integer-first.  `sparse_vec` gives the
-nonzero entries of a vector as (index, coefficient) pairs, int where
-integral; a `Tensor` (nested tuples of structure constants) and a `Matrix`
-(by columns) keep this form of their leaves, and the evaluators
-(`Matrix.apply`, `bilinear_eval` in `homlie`, `trilinear_eval` in `hl2`)
-walk only nonzero inputs against it.  The laws' residual tensors are dicts
-of keys (`dok`): `_ap` substitutes expressions into a tensor's inputs one
-slot at a time, and `_sum` adds signed terms with renamed slots.
+Multilinear maps are evaluated one way, on dicts of keys.  `dok` gives a
+tensor (nested tuples of structure constants), a `Matrix` or a tuple of
+matrices as {(input indices..., output index): nonzero coefficient}, the
+coefficient an int where integral; a `Tensor` keeps its `dok`, read-only,
+from first use, and `from_dok` turns a dict back into nested tuples.  `_ap`
+substitutes expressions into a map's inputs one slot at a time and `_sum`
+adds signed terms with renamed slots: the residual tensors (lhs − rhs) of
+the laws and every construction's structure constants are built with them.
 Int–Fraction arithmetic is exact and ``3 == Fraction(3)`` with equal
 hashes, so every comparison gives the answer Fraction arithmetic would.
 Evaluated vectors may hold ints; stored structures stay all-Fraction,
@@ -32,6 +32,7 @@ from functools import cached_property
 from itertools import permutations
 from math import gcd, lcm
 from operator import add, itemgetter, neg
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -97,7 +98,7 @@ def unit_vec(n: int, i: int) -> Vec:
 
 
 # --------------------------------------------------------------------------
-# The sparse kernel
+# Multilinear maps as dicts of keys
 # --------------------------------------------------------------------------
 
 def sparse_vec(v) -> tuple:
@@ -108,44 +109,47 @@ def sparse_vec(v) -> tuple:
                   for k, x in enumerate(v) if x])
 
 
-def _sparse(t) -> tuple:
-    if t and isinstance(t[0], tuple):
-        return tuple(_sparse(s) for s in t)
-    return sparse_vec(t)
-
-
 class Tensor(tuple):
     """Structure constants as nested tuples with coordinate vectors at the
     leaves (T[i][j] or T[i][j][k] is a Vec).  Equality, hash and repr are
-    those of the plain tuple.  `sparse` has the same nesting with every leaf
-    replaced by its `sparse_vec`, and is built on first use."""
+    those of the plain tuple.  `dok` is its dict-of-keys form (see `dok`),
+    built on first use and read-only."""
 
     @cached_property
-    def sparse(self) -> tuple:
-        return _sparse(self)
-
-
-def sparse_form(t) -> tuple:
-    """The sparse form of a tensor: kept on a Tensor, built afresh for a plain tuple."""
-    return t.sparse if isinstance(t, Tensor) else _sparse(t)
+    def dok(self) -> MappingProxyType:
+        return MappingProxyType(_dok(self))
 
 
 def dok(t) -> dict:
     """The dict-of-keys form of a multilinear map: (input indices..., output
     index) -> nonzero coefficient, int where integral.  A tensor T[i][j]
-    gives keys (i, j, k); a Matrix, as the map v -> M·v, (column, row); a
-    tuple of matrices M_i, as the map (x, v) -> Σ x_i M_i·v, (i, column, row)."""
+    gives keys (i, j, k), a vector v keys (k,); a Matrix, as the map
+    v -> M·v, (column, row); a tuple of matrices M_i, as the map
+    (x, v) -> Σ x_i M_i·v, (i, column, row).  A Tensor's is its kept `dok`."""
+    if isinstance(t, Tensor):
+        return t.dok
     if isinstance(t, Matrix):
         return {(j, i): c for j in range(t.cols) for i, c in sparse_vec(t.column(j))}
     if t and isinstance(t[0], Matrix):
         return {(i, *key): c for i, m in enumerate(t) for key, c in dok(m).items()}
-    return _dok(sparse_form(t))
+    return _dok(t)
 
 
-def _dok(sp) -> dict:
-    if sp and sp[0] and sp[0][0].__class__ is int:  # a leaf: (index, coefficient) pairs
-        return {(k,): c for k, c in sp}
-    return {(i, *key): c for i, sub in enumerate(sp) for key, c in _dok(sub).items()}
+def _dok(t) -> dict:
+    if not t or not isinstance(t[0], tuple):      # a leaf: a coordinate vector
+        return {(k,): c for k, c in sparse_vec(t)}
+    return {(i, *key): c for i, sub in enumerate(t) for key, c in _dok(sub).items()}
+
+
+def from_dok(t, shape) -> tuple:
+    """The nested tuples of the given shape (input dimensions..., output
+    dimension) holding t's coefficients, 0 where t has no key: the inverse
+    of `dok` on nested tuples."""
+    def nest(prefix, dims):
+        if len(dims) == 1:
+            return tuple(t.get((*prefix, k), 0) for k in range(dims[0]))
+        return tuple(nest((*prefix, i), dims[1:]) for i in range(dims[0]))
+    return nest((), tuple(shape))
 
 
 # The residual tensors (lhs − rhs) of the laws are built from expressions:
@@ -199,11 +203,9 @@ def _sum(*terms):
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, stored as row tuples.
+    """Immutable dense matrix of Fractions, stored as row tuples."""
 
-    The sparse form of the columns, used by `apply`, is built on first use."""
-
-    __slots__ = ("rows", "cols", "data", "_sparse_cols")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data):
         rows_t = tuple(tuple(x if x.__class__ is Fraction else rat(x) for x in row)
@@ -213,7 +215,6 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", rows_t)
-        object.__setattr__(self, "_sparse_cols", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -259,9 +260,6 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int) -> Vec:
-        return self.data[i]
-
     def column(self, j: int) -> Vec:
         return tuple(r[j] for r in self.data)
 
@@ -271,21 +269,13 @@ class Matrix:
     # -- algebra -----------------------------------------------------------
 
     def apply(self, v: Vec) -> Vec:
-        """Matrix-vector product over the sparse columns; ints where integral."""
+        """M·v, one `_ap` over `dok`; an entry is an int where every product is
+        of integral entries.  Kept only as a tracer target of the benchmark:
+        the package evaluates with `_ap`."""
         if len(v) != self.cols:
             raise InputError(f"vector length {len(v)} != cols {self.cols}")
-        cols = self._sparse_cols
-        if cols is None:
-            cols = tuple(sparse_vec(r[j] for r in self.data) for j in range(self.cols))
-            object.__setattr__(self, "_sparse_cols", cols)
-        out = [0] * self.rows
-        for j, c in enumerate(v):
-            if c:
-                if c.__class__ is not int and c.denominator == 1:
-                    c = c.numerator
-                for i, a in cols[j]:
-                    out[i] += a * c
-        return tuple(out)
+        out = _ap(dok(self), ("", dok(v)))[1]
+        return tuple(out.get((i,), 0) for i in range(self.rows))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         """On ints: row i scaled by its lcm denominator d_i, column j by e_j."""
@@ -496,7 +486,9 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def det_of(rows: Sequence[Vec]) -> Fraction:
-    """Determinant of a small square array given as row vectors (permutation expansion)."""
+    """Determinant of a small square array given as row vectors (permutation
+    expansion).  Kept only as a tracer target of the benchmark: no module of
+    the package calls it."""
     k = len(rows)
     if k == 0:
         return F1

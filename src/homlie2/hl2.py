@@ -31,8 +31,10 @@ equalities, such as l3-skew, as the union of two) and scanned over the
 basis tuples as lookups.  The residual of `bracket-interchange` is a sum of
 terms in one left and one right of its six indices, so it is decided, and
 its first failing tuple found, among the tuples with at most two indices
-off 0 (`_interchange_witness`).  All of it runs on Python ints where the
-data is integral; the answers are those of Fraction arithmetic.
+off 0 (`_interchange_witness`).  `functor_T` and `compose_hl_morphisms`
+build their structure constants with `_ap`/`_sum` too.  All of it runs on
+Python ints where the data is integral; the answers are those of Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ from functools import cache, partial
 from itertools import combinations, product
 
 from .errors import InputError
-from .exactlin import (F0, Matrix, Tensor, Vec, _ap, _sum, dok, sparse_form, sparse_vec,
-                       unit_vec, vadd, vneg, vec, zero_vec)
-from .homlie import Tensor2, as_tensor2, bilinear_eval
+from .exactlin import F0, Matrix, Tensor, Vec, _ap, _sum, dok, from_dok, vec, zero_vec
+from .homlie import Tensor2, as_tensor2
 from .reports import CheckReport, LawChecker
 from .twovect import TwoVectorSpace, from_complex
 
@@ -66,28 +67,11 @@ def as_tensor3(data, n: int, out_dim: int, field: str) -> Tensor3:
 
 
 def trilinear_eval(tensor: Tensor3, x: Vec, y: Vec, z: Vec, out_dim: int) -> Vec:
-    """Evaluate a trilinear tensor on the sparse kernel; ints where integral."""
-    out = [0] * out_dim
-    ys, zs = sparse_vec(y), sparse_vec(z)
-    if not ys or not zs:
-        return tuple(out)
-    sp = sparse_form(tensor)
-    for i, a in enumerate(x):
-        if not a:
-            continue
-        if a.__class__ is not int and a.denominator == 1:
-            a = a.numerator
-        ti = sp[i]
-        for j, b in ys:
-            tij = ti[j]
-            ab = a * b
-            for k, c in zs:
-                entry = tij[k]
-                if entry:
-                    coef = ab * c
-                    for idx, e in entry:
-                        out[idx] += coef * e
-    return tuple(out)
+    """A trilinear tensor at coordinate vectors, one `_ap` over `dok`; ints
+    where integral.  Kept only as a tracer target of the benchmark: the
+    package evaluates with `_ap`."""
+    out = _ap(dok(tensor), ("", dok(x)), ("", dok(y)), ("", dok(z)))[1]
+    return tuple(out.get((k,), 0) for k in range(out_dim))
 
 
 @dataclass(frozen=True)
@@ -112,12 +96,6 @@ class TwoTermHL:
             raise InputError("phi0 has wrong shape")
         if self.phi1.shape() != (n1, n1):
             raise InputError("phi1 has wrong shape")
-
-    def l2_vm(self, x: Vec, m: Vec) -> Vec:
-        return bilinear_eval(self.l2_01, x, m, self.dim1)
-
-    def basis1(self, a: int) -> Vec:
-        return unit_vec(self.dim1, a)
 
     def is_skeletal(self) -> bool:
         return self.d.is_zero()
@@ -204,9 +182,6 @@ class HLMorphism:
         object.__setattr__(self, "f2", as_tensor2(
             self.f2, self.source.dim0, self.source.dim0, self.target.dim1, "f2"))
 
-    def f2_eval(self, x: Vec, y: Vec) -> Vec:
-        return bilinear_eval(self.f2, x, y, self.target.dim1)
-
 
 def identity_hl_morphism(v: TwoTermHL) -> HLMorphism:
     zero = tuple(tuple(zero_vec(v.dim1) for _ in range(v.dim0)) for _ in range(v.dim0))
@@ -245,13 +220,11 @@ def compose_hl_morphisms(first: HLMorphism, second: HLMorphism) -> HLMorphism:
     """second ∘ first; (g∘f)_2(x,y) = g2(f0 x, f0 y) + g1(f2(x,y))."""
     if first.target != second.source:
         raise InputError("morphism endpoints do not match")
-    n0 = first.source.dim0
-    f0_cols = [first.f0.column(i) for i in range(n0)]
-    f2 = tuple(tuple(vadd(second.f2_eval(f0_cols[i], f0_cols[j]),
-                          second.f1.apply(first.f2[i][j]))
-                     for j in range(n0)) for i in range(n0))
-    return HLMorphism(first.source, second.target,
-                      second.f0 * first.f0, second.f1 * first.f1, f2)
+    n0, f0 = first.source.dim0, partial(_ap, dok(first.f0))
+    f2 = _sum((1, _ap(dok(second.f2), f0("a"), f0("b"))),
+              (1, _ap(dok(second.f1), ("ab", dok(first.f2)))))[1]
+    return HLMorphism(first.source, second.target, second.f0 * first.f0, second.f1 * first.f1,
+                      from_dok(f2, (n0, n0, second.target.dim1)))
 
 
 # --------------------------------------------------------------------------
@@ -294,20 +267,13 @@ def functor_T(v: TwoTermHL) -> HomLie2Data:
     """
     n0, n1 = v.dim0, v.dim1
     nm = n0 + n1
-
-    def bm_entry(p, q):
-        out0, out1 = zero_vec(n0), zero_vec(n1)
-        if p < n0 and q < n0:
-            out0 = v.l2_00[p][q]
-        elif p < n0:
-            out1 = v.l2_01[p][q - n0]
-        elif q < n0:
-            out1 = vneg(v.l2_01[q][p - n0])
-        else:
-            out1 = v.l2_vm(v.d.column(p - n0), v.basis1(q - n0))
-        return tuple(out0) + tuple(out1)
-
-    bracket_mor = tuple(tuple(bm_entry(p, q) for q in range(nm)) for p in range(nm))
+    # the blocks (x, y), (x, m), (m, x) and (m, n), with m, n and the V1 outputs shifted by n0
+    M2 = dok(v.l2_01)
+    bm = {**dok(v.l2_00), **{(i, n0 + a, n0 + k): c for (i, a, k), c in M2.items()},
+          **{(n0 + a, i, n0 + k): -c for (i, a, k), c in M2.items()},
+          **{(n0 + a, n0 + b, n0 + k): c
+             for (a, b, k), c in _ap(M2, _ap(dok(v.d), "a"), "b")[1].items()}}
+    bracket_mor = from_dok(bm, (nm, nm, nm))
     phi1_full = Matrix(nm, nm, [
         [(v.phi0[i, j] if (i < n0 and j < n0) else
           v.phi1[i - n0, j - n0] if (i >= n0 and j >= n0) else F0)

@@ -9,7 +9,8 @@ Structures are stored by structure constants: bracket[i][j] is the coordinate
 vector of [e_i, e_j].  Nothing is assumed about the tensors at construction
 time beyond shape; `check_hom_lie` verifies the axioms and reports witnesses.
 Each law of an algebra or a morphism is a residual tensor (lhs - rhs) built
-once with `exactlin._ap`/`_sum` and scanned as lookups.
+once with `exactlin._ap`/`_sum` and scanned as lookups; `ad`, the Killing
+form and the twisted algebra are built with them too.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import InputError, PreconditionError
-from .exactlin import (Matrix, Tensor, Vec, _ap, _sum, dok, is_zero_vec, sparse_form,
-                       sparse_vec, unit_vec, vec, zero_vec)
+from .exactlin import (Matrix, Tensor, Vec, _ap, _sum, dok, from_dok, is_zero_vec, unit_vec,
+                       vec, zero_vec)
 from .reports import CheckReport, LawChecker
 
 Tensor2 = Tensor  # Tensor2[i][j] -> Vec
@@ -39,27 +40,11 @@ def as_tensor2(data, n0: int, n1: int, out_dim: int, field: str) -> Tensor2:
 
 
 def bilinear_eval(tensor: Tensor2, x: Vec, y: Vec, out_dim: int) -> Vec:
-    """Evaluate a structure-constant tensor at coordinate vectors.
-
-    Walks the nonzero entries of x and y against the tensor's sparse form
-    (see `exactlin`); the result holds ints where it is integral."""
-    out = [0] * out_dim
-    ys = sparse_vec(y)
-    if not ys:
-        return tuple(out)
-    sp = sparse_form(tensor)
-    for i, a in enumerate(x):
-        if a:
-            if a.__class__ is not int and a.denominator == 1:
-                a = a.numerator
-            row = sp[i]
-            for j, b in ys:
-                entry = row[j]
-                if entry:
-                    c = a * b
-                    for k, e in entry:
-                        out[k] += c * e
-    return tuple(out)
+    """A structure-constant tensor at coordinate vectors, one `_ap` over `dok`;
+    ints where integral.  Kept only as a tracer target of the benchmark: the
+    package evaluates with `_ap`."""
+    out = _ap(dok(tensor), ("", dok(x)), ("", dok(y)))[1]
+    return tuple(out.get((k,), 0) for k in range(out_dim))
 
 
 @dataclass(frozen=True)
@@ -79,16 +64,11 @@ class HomLieAlgebra:
     def basis(self, i: int) -> Vec:
         return unit_vec(self.dim, i)
 
-    def bracket_vec(self, x: Vec, y: Vec) -> Vec:
-        return bilinear_eval(self.bracket, x, y, self.dim)
-
-    def phi_vec(self, x: Vec) -> Vec:
-        return self.phi.apply(x)
-
     def ad(self, x: Vec) -> Matrix:
         """Matrix of y -> [x, y] in the algebra's own bracket."""
-        cols = [self.bracket_vec(x, self.basis(j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols, rows=self.dim)
+        n = self.dim
+        cols = from_dok(_ap(dok(self.bracket), ("", dok(x)), "b")[1], (n, n))
+        return Matrix.from_columns(cols, rows=n)
 
     def is_involutive(self) -> bool:
         return (self.phi * self.phi).is_identity()
@@ -180,8 +160,8 @@ def twisted_algebra(g: HomLieAlgebra) -> HomLieAlgebra:
     """
     if not g.is_involutive():
         raise PreconditionError("twisted_algebra requires an involutive twist (phi^2 = Id)")
-    new_bracket = tuple(tuple(g.phi_vec(g.bracket[i][j]) for j in range(g.dim))
-                        for i in range(g.dim))
-    out = HomLieAlgebra(g.dim, new_bracket, Matrix.identity(g.dim))
+    n = g.dim
+    new_bracket = from_dok(_ap(dok(g.phi), ("ab", dok(g.bracket)))[1], (n, n, n))
+    out = HomLieAlgebra(n, new_bracket, Matrix.identity(n))
     check_hom_lie(out).require("twisted_algebra output")
     return out

@@ -154,6 +154,8 @@ def parse_model(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:   # an over-long integer, too deep a nesting
+        raise ModelError(f"unreadable JSON: {exc}") from None
     obj = _object(doc, "$")
     kind = obj.get("kind")
     if kind not in KINDS:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .exactlin import Matrix, Vec, vadd
+from .exactlin import Matrix, Vec, _ap, dok, from_dok, vadd
 
 Morphism = tuple  # (Vec over V0, Vec over V1)
 
@@ -34,7 +34,9 @@ class TwoVectorSpace:
         return mor[0]
 
     def target(self, mor: Morphism) -> Vec:
-        return vadd(mor[0], self.d.apply(mor[1]))
+        if len(mor[1]) != self.dim1:
+            raise InputError(f"V1-part has length {len(mor[1])}, expected {self.dim1}")
+        return vadd(mor[0], from_dok(_ap(dok(self.d), ("", dok(mor[1])))[1], (self.dim0,)))
 
     def ident(self, obj: Vec) -> Morphism:
         return (tuple(obj), (0,) * self.dim1)
@@ -44,9 +46,6 @@ class TwoVectorSpace:
         if self.target(first) != self.source(second):
             raise InputError("morphisms do not compose: target != source")
         return (first[0], vadd(first[1], second[1]))
-
-    def mor_coords(self, mor: Morphism) -> Vec:
-        return tuple(mor[0]) + tuple(mor[1])
 
     def mor_from_coords(self, coords: Vec) -> Morphism:
         return (tuple(coords[:self.dim0]), tuple(coords[self.dim0:]))

@@ -13,7 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from helpers import (random_algebra, random_hom_cochain, random_involution,
-                     random_representation, rnd_frac)
+                     random_representation, reference_apply, reference_bilinear_eval,
+                     rnd_frac)
 from homlie2.cli import main as cli_main
 from homlie2.cohomology import (class_is_trivial, coboundary, cohomology_dims,
                                 cohomology_inclusion_check, is_hom_cochain,
@@ -259,16 +260,17 @@ def _verify_symplectic_chain(s):
     d = g.phi * inverse(s.omega.transpose())
     assert d == v.d
     assert d * v.phi1 == g.phi * d                       # d against phi*
-    for i in range(g.dim):
-        for b in range(g.dim):
-            lhs = d.apply(v.l2_01[i][b])                 # d l2(x, xi)
-            rhs = g.bracket_vec(g.basis(i), d.column(b))  # l2(x, d xi)
+    n = g.dim
+    for i in range(n):
+        for b in range(n):
+            lhs = reference_apply(d, v.l2_01[i][b])                            # d l2(x, xi)
+            rhs = reference_bilinear_eval(g.bracket, g.basis(i), d.column(b), n)  # l2(x, d xi)
             assert lhs == rhs
-    for p in range(g.dim):
-        for q in range(g.dim):
-            lhs = v.l2_vm(d.column(p), v.basis1(q))      # l2(d xi, eta)
-            rhs = tuple(-x for x in v.l2_vm(d.column(q), v.basis1(p)))
-            assert lhs == rhs
+    for p in range(n):
+        for q in range(n):
+            lhs = reference_bilinear_eval(v.l2_01, d.column(p), g.basis(q), n)  # l2(d xi, eta)
+            rhs = reference_bilinear_eval(v.l2_01, d.column(q), g.basis(p), n)
+            assert lhs == tuple(-x for x in rhs)
 
 
 def test_criterion_09_symplectic_chain():

@@ -19,7 +19,7 @@ import pytest
 import homlie2
 from helpers import shift_strict, sl2_sum
 from homlie2.constructions import sl2_example, string_from_semisimple
-from homlie2.exactlin import Matrix
+from homlie2.exactlin import Matrix, Tensor
 from homlie2.hl2 import check_hom_lie2, check_two_term, functor_T
 from homlie2.homlie import HomLieAlgebra, check_hom_lie
 from homlie2.reports import LawChecker
@@ -42,6 +42,7 @@ def test_removed_names_are_gone():
         assert name not in homlie2.__all__
         assert not hasattr(homlie2, name) and not hasattr(homlie2.twovect, name)
     assert not hasattr(Matrix, "scale") and not hasattr(Matrix, "is_skew")
+    assert not hasattr(Matrix, "row") and not hasattr(homlie2.TwoVectorSpace, "mor_coords")
 
 
 def test_per_tuple_evaluators_of_the_old_law_scans_are_gone():
@@ -51,9 +52,32 @@ def test_per_tuple_evaluators_of_the_old_law_scans_are_gone():
             (homlie2.TwoVectorSpace, ("mor_basis",)),
             (homlie2.CrossedModule, ("act",)),
             (homlie2.HomLeftSymmetric, ("star_vec", "basis")),
-            (homlie2.Representation, ("rho_at",))):
+            (homlie2.Representation, ("rho_at",)),
+            (homlie2.HomLieAlgebra, ("bracket_vec", "phi_vec")),
+            (homlie2.TwoTermHL, ("l2_vm", "basis1")),
+            (homlie2.HLMorphism, ("f2_eval",)),
+            (homlie2.QuadraticHomLie, ("pair",)),
+            (homlie2.SymplecticHomLie, ("pair",)),
+            (Tensor, ("sparse",)),
+            (Matrix, ("_sparse_cols",)),
+            (homlie2.exactlin, ("sparse_form", "_sparse")),
+            (homlie2.constructions, ("_pair",))):
         for name in names:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+def test_only_the_defining_module_names_a_tracer_only_function():
+    """`bilinear_eval`, `trilinear_eval` and `det_of` stay only as targets of
+    `bench/tracer.py`; no other module of src/homlie2 may name them."""
+    defining = {"bilinear_eval": "homlie.py", "trilinear_eval": "hl2.py", "det_of": "exactlin.py"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        for name, home in defining.items():
+            assert path.name == home or name not in names, f"{path.name} names {name}"
 
 
 def test_no_module_imports_a_name_it_never_uses():

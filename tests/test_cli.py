@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,26 @@ def test_bad_json_is_input_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{", encoding="utf-8")
     assert run("check", str(p)) == 2
+
+
+def test_overlong_integer_literal_is_input_error(tmp_path, capsys):
+    """json refuses an integer literal longer than the interpreter's limit on
+    integer string conversion with a plain ValueError."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    p = tmp_path / "long.json"
+    p.write_text((FIX / "sl2.json").read_text().replace('"-1"', "1" * (limit + 1), 1))
+    assert run("check", str(p)) == 2
+    assert "input error: unreadable JSON" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    """json gives up on 100,000 nested lists with a RecursionError."""
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    assert run("check", str(p)) == 2
+    assert "input error: unreadable JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("literal", ["1.5", "1e9999999"])

@@ -1,27 +1,29 @@
-"""The sparse integer evaluation kernel against the dense Fraction reference.
+"""Evaluation on dicts of keys against the dense Fraction reference.
 
-`bilinear_eval`, `trilinear_eval` and `Matrix.apply` must return vectors
-equal (==) to the reference loops in `tests/helpers.py`, holding only ints
-and Fractions, never a float; so must the form pairing built on them, and
-`dual_representation` must give what its old pairing gate gave.  Every
-structure the constructors build must still hold only Fractions.
+`bilinear_eval`, `trilinear_eval` and `Matrix.apply`, each one `_ap` over
+`dok`, must return vectors equal (==) to the reference loops in
+`tests/helpers.py`, holding only ints and Fractions, never a float, and
+`dual_representation` must give what its old pairing gate gave.  `from_dok`
+inverts `dok` on nested tuples, and a `Tensor` keeps its `dok` read-only.
+Every structure the constructors build must still hold only Fractions.
 """
 
 import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (random_algebra, random_representation, reference_apply, reference_bilinear_eval, reference_dual_gate,
-                     reference_dual_representation, reference_pair,
-                     reference_trilinear_eval)
+from helpers import (random_algebra, random_representation, reference_apply,
+                     reference_bilinear_eval, reference_dual_gate,
+                     reference_dual_representation, reference_trilinear_eval)
 from homlie2.cohomology import Representation, dual_representation
-from homlie2.constructions import (_pair, l3_from_B, quadratic,
-                                   sl2_example, strict_to_crossed, string_from_semisimple)
+from homlie2.constructions import (l3_from_B, quadratic, sl2_example, strict_to_crossed,
+                                   string_from_semisimple)
 from homlie2.homlie import abelian_algebra, killing_form
-from homlie2.exactlin import F0, F1, Matrix, Tensor, rat, sparse_vec
+from homlie2.exactlin import F0, F1, Matrix, Tensor, dok, from_dok, rat, sparse_vec
 from homlie2.hl2 import (HLMorphism, TwoTermHL, as_tensor3, compose_hl_morphisms,
                          functor_S, functor_T, identity_hl_morphism, trilinear_eval)
 from homlie2.homlie import as_tensor2, bilinear_eval
@@ -64,7 +66,7 @@ def test_bilinear_matches_reference(data, n0, n1, out):
     t = as_tensor2(nested(data.draw, (n0, n1, out)), n0, n1, out, "t")
     want = reference_bilinear_eval(t, x, y, out)
     assert_exact(bilinear_eval(t, x, y, out), want)
-    # a plain nested tuple is evaluated too, without a kept sparse form
+    # a plain nested tuple is evaluated too, without a kept dok
     assert_exact(bilinear_eval(tuple(t), x, y, out), want)
 
 
@@ -82,21 +84,24 @@ def test_apply_matches_reference(data, rows, cols):
     v = data.draw(vectors(cols))
     m = Matrix(rows, cols, nested(data.draw, (rows, cols)) if rows else [])
     assert_exact(m.apply(v), reference_apply(m, v))
-    # a second call runs on the kept sparse columns
-    assert_exact(m.apply(v), reference_apply(m, v))
 
 
-def random_matrix(draw, rows, cols):
-    return Matrix(rows, cols, nested(draw, (rows, cols)) if rows else [])
-
-
-@given(st.data(), dims)
+@given(st.data(), st.lists(dims, min_size=1, max_size=4))
 @settings(max_examples=150, deadline=None)
-def test_pair_matches_reference(data, n):
-    B = random_matrix(data.draw, n, n)
-    x, y = data.draw(vectors(n)), data.draw(vectors(n))
-    got = _pair(B, x, y)
-    assert got == reference_pair(B, x, y) and type(got) is Fraction
+def test_from_dok_inverts_dok(data, shape):
+    """Zero dimensions, all-zero leaves and all-zero tensors included."""
+    leaf = st.sampled_from(("zero", "drawn"))
+
+    def tensor(dims):
+        if len(dims) == 1:
+            if data.draw(leaf) == "zero":
+                return (F0,) * dims[0]
+            return tuple(data.draw(st.lists(entries, min_size=dims[0], max_size=dims[0])))
+        return tuple(tensor(dims[1:]) for _ in range(dims[0]))
+
+    t = tensor(shape)
+    assert from_dok(dok(t), shape) == t
+    assert from_dok(dok(Tensor(t)), shape) == t
 
 
 def _dual_candidates(rng):
@@ -144,8 +149,10 @@ def test_tensor_behaves_as_its_tuple():
     plain = (((F1, F0), (F0, F0)),)
     t = Tensor(plain)
     assert t == plain and hash(t) == hash(plain) and repr(t) == repr(plain)
-    assert t.sparse == ((((0, 1),), ()),)
-    assert t.sparse is t.sparse
+    assert dict(t.dok) == {(0, 0, 0): 1} and type(t.dok[0, 0, 0]) is int
+    assert t.dok is t.dok
+    with pytest.raises(TypeError):
+        t.dok[0, 1, 0] = 1
 
 
 def test_rat_shares_small_integers():

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from helpers import (heisenberg, identity_complex, nilpotent4, random_invertible,
                      reference_check_hl_morphism, reference_check_hom_lie,
                      reference_check_hom_lie2, reference_check_two_term,
-                     reference_roundtrip_check, shift_strict, sl2_sum, transport_two_term)
+                     reference_apply, reference_bilinear_eval, reference_roundtrip_check,
+                     shift_strict, sl2_sum, transport_two_term)
 from homlie2.constructions import sl2_example, string_from_semisimple
 from homlie2.exactlin import Matrix, _ap, _sum, inverse
 from homlie2.hl2 import (HLMorphism, HomLie2Data, TwoTermHL, check_hl_morphism, check_hom_lie2,
@@ -399,8 +400,8 @@ SCALES = (1, -1, 2, F(1, 3), F(-3, 2))
 def transport_algebra(g: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:
     """g in the basis given by the columns of p."""
     q, cols = inverse(p), p.columns()
-    bracket = [[q.apply(g.bracket_vec(cols[i], cols[j])) for j in range(g.dim)]
-               for i in range(g.dim)]
+    bracket = [[reference_apply(q, reference_bilinear_eval(g.bracket, cols[i], cols[j], g.dim))
+                for j in range(g.dim)] for i in range(g.dim)]
     return HomLieAlgebra(g.dim, bracket, q * g.phi * p)
 
 

@@ -25,16 +25,18 @@ from helpers import (heisenberg, identity_complex, random_algebra, random_repres
                      reference_check_left_symmetric, reference_check_quadratic,
                      reference_check_representation, reference_check_symplectic,
                      reference_leftsym_d_report, shift_strict, sl2_sum)
-from homlie2.cohomology import check_representation
+from homlie2.cohomology import adjoint_representation, check_representation
 from homlie2.constructions import (CrossedModule, HomLeftSymmetric, QuadraticHomLie,
                                    check_crossed_module, check_left_symmetric, check_quadratic,
-                                   check_symplectic, leftsym_d_report, sl2_example,
-                                   star_from_symplectic, strict_to_crossed,
+                                   check_symplectic, crossed_to_strict, leftsym_d_report,
+                                   sl2_example, star_from_symplectic, strict_from_leftsym,
+                                   strict_from_symplectic, strict_to_crossed,
                                    string_from_semisimple)
 from homlie2.exactlin import Matrix
-from homlie2.hl2 import (check_hl_morphism, check_hom_lie2, check_two_term, functor_T,
-                         identity_hl_morphism)
-from homlie2.homlie import HomLieAlgebra, HomLieMorphism, check_hom_lie_morphism, killing_form
+from homlie2.hl2 import (check_hl_morphism, check_hom_lie2, check_two_term,
+                         compose_hl_morphisms, functor_S, functor_T, identity_hl_morphism)
+from homlie2.homlie import (HomLieAlgebra, HomLieMorphism, check_hom_lie_morphism, killing_form,
+                            twisted_algebra)
 from homlie2.modelfile import load_model
 from homlie2.reports import CheckReport
 from test_api import load_bench_module
@@ -284,7 +286,7 @@ def test_check_left_symmetric_matches_the_benchmark_oracle():
     assert len(verdicts) == 4
 
 
-# -- no law is evaluated tuple by tuple -----------------------------------------------
+# -- no law is evaluated tuple by tuple, no construction vector by vector ----------------
 
 def count_evaluations(monkeypatch) -> list:
     """Wrap the per-tuple evaluators; the list grows by one name per call.
@@ -350,4 +352,37 @@ def test_no_check_evaluates_its_laws_tuple_by_tuple(name, monkeypatch):
     calls = count_evaluations(monkeypatch)
     assert check(*passing).ok
     assert not check(*failing).ok
+    assert calls == []
+
+
+def two_terms(fix):
+    return [fix["sl2_string"], fix["sl2_strict_shift"], fix["abelian2_two_term"]]
+
+
+# each construction of the package, run on its fixtures
+CONSTRUCTIONS = {
+    "functor_T": lambda fix: [functor_T(v) for v in two_terms(fix)],
+    "functor_S": lambda fix: [functor_S(functor_T(v)) for v in two_terms(fix)],
+    "strict_to_crossed": lambda fix: strict_to_crossed(fix["sl2_strict_shift"]),
+    "crossed_to_strict": lambda fix: [crossed_to_strict(fix["crossed_small"]),
+                                      crossed_to_strict(strict_to_crossed(fix["sl2_strict_shift"]))],
+    "compose_hl_morphisms": lambda fix: compose_hl_morphisms(fix["hl_morphism_phi_string"],
+                                                             fix["hl_morphism_phi_string"]),
+    "twisted_algebra": lambda fix: twisted_algebra(fix["sl2"]),
+    "adjoint_representation": lambda fix: adjoint_representation(fix["sl2"]),
+    "string_from_semisimple": lambda fix: string_from_semisimple(fix["sl2"]),
+    "strict_from_leftsym": lambda fix: strict_from_leftsym(fix["leftsym_with_d"].product,
+                                                           fix["leftsym_with_d"].d),
+    "strict_from_symplectic": lambda fix: [strict_from_symplectic(fix["symplectic_abelian2"]),
+                                           strict_from_symplectic(fix["symplectic_nontrivial4"])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_no_construction_evaluates_vector_by_vector(name, monkeypatch):
+    """No construction calls `bilinear_eval`, `trilinear_eval` or `Matrix.apply`:
+    each builds its structure constants with `_ap`/`_sum`."""
+    fix = {path.stem: load_model(path) for path in FIX.glob("*.json")}
+    calls = count_evaluations(monkeypatch)
+    assert CONSTRUCTIONS[name](fix)
     assert calls == []
