@@ -18,10 +18,10 @@ full space (`coboundary_matrix`),
                        + Σ_{i<j} (−1)^{i+j} f([u_i,u_j], phi(u_1)..û_i..û_j..phi(u_{k+1})),
 
 and its restriction to hom-cochains is the twisted coboundary, with d∘d = 0
-on hom-cochains of degree >= 1.  Both systems are built as sparse integer
-rows, each Λ^k entry a wedge of sparse vectors (`_wedge`), and every
-cohomology answer is a rank, kernel or product of them by `exactlin._rref`;
-Fractions appear only in what a public function returns.  Degree 0 is a
+on hom-cochains of degree >= 1.  Both systems are `dok` maps keyed (column,
+row), ints where integral, each Λ^k entry a wedge of sparse vectors; every
+answer is a product of them by `_ap` and a rank or kernel by `_rref`, with
+Fractions only where a public function returns them.  Degree 0 is a
 convention of this artifact, not part of the twisted formula (whose
 spectator power phi^{k−1} is undefined at k = 0 for singular phi): it is
 the k = 0 case of d with the identity in place of phi^{k−1}, so C^0 is the
@@ -38,8 +38,8 @@ from functools import lru_cache, partial
 from itertools import combinations
 
 from .errors import InputError, PreconditionError
-from .exactlin import (F0, Matrix, Vec, _ap, _fraction_kernel, _in_span, _kernel, _rref, _sum,
-                       _transpose, dok, is_zero_vec, sparse_vec, vadd, vscale, zero_vec)
+from .exactlin import (F0, Matrix, Vec, _ap, _fraction_kernel, _in_span, _ints, _kernel, _rref,
+                       _sum, dok, from_dok, is_zero_vec, sparse_vec, vadd, vscale, zero_vec)
 from .homlie import HomLieAlgebra
 from .reports import CheckReport, LawChecker
 
@@ -217,28 +217,33 @@ def cochain_from_function(degree: int, alg_dim: int, module_dim: int, fn) -> Coc
                    tuple(tuple(fn(t)) for t in _tuple_index(alg_dim, degree)))
 
 
-def _hom_system(r: Representation, k: int) -> list[dict]:
-    """The sparse rows of A⊗1 − Λ^k phi on the full skew k-space; kernel C^k_{phi,A}."""
+def _size(r: Representation, k: int) -> int:
+    """The number of coordinates of a k-cochain for r, as `Cochain.coords()` lays them out."""
+    return len(_tuple_index(r.algebra.dim, k)) * r.module_dim
+
+
+def _hom_system(r: Representation, k: int) -> dict:
+    """A⊗1 − Λ^k phi on the full skew k-space as a map keyed (column, row),
+    as `dok` keys a Matrix; its kernel is C^k_{phi,A}."""
     m, index = r.module_dim, _tuple_index(r.algebra.dim, k)
     phi_cols = [sparse_vec(c) for c in r.algebra.phi.columns()]
-    a_rows = [sparse_vec(row) for row in r.A.data]
-    rows = []
+    a_map = dok(r.A)
+    h: dict = {}
     for ti, t in enumerate(index):
-        block = [{ti * m + b: x for b, x in a_row} for a_row in a_rows]
+        h.update({(ti * m + b, ti * m + a): x for (b, a), x in a_map.items()})
         # f(phi e_{t_1}, .., phi e_{t_k}) = Σ_s (minor on s) · f(e_s)
         for s, d in _wedge([phi_cols[i] for i in t]).items():
-            for a, row in enumerate(block):
-                row[index[s] * m + a] = row.get(index[s] * m + a, 0) - d
-        rows += block
-    return rows
+            for a in range(m):
+                key = (index[s] * m + a, ti * m + a)
+                h[key] = h.get(key, 0) - d
+    return _ints(h)
 
 
 def is_hom_cochain(f: Cochain, r: Representation) -> bool:
     """A∘f = f∘phi^(⊗k) on every increasing basis tuple."""
     if f.alg_dim != r.algebra.dim or f.module_dim != r.module_dim:
         raise InputError("cochain does not match the representation's shapes")
-    v = f.coords()
-    return not any(sum(x * v[j] for j, x in row.items()) for row in _hom_system(r, f.degree))
+    return not _ap(_hom_system(r, f.degree), ("", dok(f.coords())))[1]
 
 
 # --------------------------------------------------------------------------
@@ -255,18 +260,18 @@ def coboundary_matrix(r: Representation, k: int) -> Matrix:
     spectators carry one phi and the bracket slot none.  Restricted to
     hom-cochains this is the twisted coboundary.
     """
-    rows, width = _coboundary_rows(r, k), len(_tuple_index(r.algebra.dim, k)) * r.module_dim
-    return Matrix(len(rows), width, [[row.get(j, 0) for j in range(width)] for row in rows])
+    height = _size(r, k + 1)
+    return Matrix.from_columns(from_dok(_coboundary(r, k), (_size(r, k), height)), rows=height)
 
 
-def _coboundary_rows(r: Representation, k: int) -> list[dict]:
-    """The sparse rows of `coboundary_matrix(r, k)`."""
+def _coboundary(r: Representation, k: int) -> dict:
+    """`coboundary_matrix(r, k)` as a map keyed (column, row), as `dok` keys a Matrix."""
     if k < 0:
         raise InputError("negative degree")
     g, m = r.algebra, r.module_dim
     cols, index = _tuple_index(g.dim, k), _tuple_index(g.dim, k + 1)
     if not index:
-        return []
+        return {}
     phi_cols = [sparse_vec(c) for c in g.phi.columns()]
     bracket: dict = {}    # [e_i, e_j] as (index, coefficient) pairs
     for (i, j, c), x in dok(g.bracket).items():
@@ -274,29 +279,28 @@ def _coboundary_rows(r: Representation, k: int) -> list[dict]:
     rho_tw = [[] for _ in range(g.dim)]   # rho(phi^{k−1} e_i) as (column b, row a, entry)
     for (i, b, a), x in _ap(dok(r.rho), ("i", dok(g.phi.power(max(k - 1, 0)))), "m")[1].items():
         rho_tw[i].append((b, a, x))
-    rows = []
-    for t in index:
-        block = [{} for _ in range(m)]
+    d: dict = {}
+    for ti, t in enumerate(index):
         for pos in range(k + 1):
             c0 = cols[t[:pos] + t[pos + 1:]] * m
             for b, a, x in rho_tw[t[pos]]:
-                block[a][c0 + b] = block[a].get(c0 + b, 0) + (-x if pos % 2 else x)
+                key = (c0 + b, ti * m + a)
+                d[key] = d.get(key, 0) + (-x if pos % 2 else x)
         for p, q in combinations(range(k + 1), 2):
             args = [bracket.get((t[p], t[q]), ())]
             args += [phi_cols[t[s]] for s in range(k + 1) if s not in (p, q)]
-            for s, d in _wedge(args).items():
-                for a, row in enumerate(block):
-                    row[cols[s] * m + a] = row.get(cols[s] * m + a, 0) + (-d if (p + q) % 2 else d)
-        rows += block
-    return rows
+            for s, w in _wedge(args).items():
+                for a in range(m):
+                    key = (cols[s] * m + a, ti * m + a)
+                    d[key] = d.get(key, 0) + (-w if (p + q) % 2 else w)
+    return _ints(d)
 
 
-def _apply_rows(rows: list[dict], v: Vec) -> Vec:
-    """The sparse rows times v, each entry as `Matrix.apply` gives it: an int
-    where every product is of integral entries, and the int 0 where the sum is 0."""
-    xs = dict(sparse_vec(v))
-    return tuple(sum((c.numerator if c.denominator == 1 else c) * xs[j]
-                     for j, c in row.items() if c and j in xs) or 0 for row in rows)
+def _coboundary_of(v: Vec, r: Representation, k: int) -> Cochain:
+    """d_k·v, one `_ap`: an entry is an int where every product is of integral
+    entries, as `Matrix.apply` gives it."""
+    out = _ap(_coboundary(r, k), ("", dok(v)))[1]
+    return cochain_from_coords(k + 1, r.algebra.dim, r.module_dim, from_dok(out, (_size(r, k + 1),)))
 
 
 def coboundary(f: Cochain, r: Representation) -> Cochain:
@@ -306,8 +310,7 @@ def coboundary(f: Cochain, r: Representation) -> Cochain:
                          "(degree 0 follows the A-fixed convention, see cohomology_dims)")
     if not is_hom_cochain(f, r):
         raise PreconditionError("coboundary requires a hom-cochain (A∘f = f∘phi^⊗k)")
-    flat = _apply_rows(_coboundary_rows(r, f.degree), f.coords())
-    return cochain_from_coords(f.degree + 1, f.alg_dim, f.module_dim, flat)
+    return _coboundary_of(f.coords(), r, f.degree)
 
 
 def degree0_coboundary(v: Vec, r: Representation) -> Cochain:
@@ -316,43 +319,30 @@ def degree0_coboundary(v: Vec, r: Representation) -> Cochain:
         raise InputError("module vector has wrong length")
     if _ap(dok(r.A), ("", dok(v)))[1] != dok(v):
         raise PreconditionError("degree-0 coboundary requires an A-fixed vector")
-    return cochain_from_coords(1, r.algebra.dim, r.module_dim,
-                               _apply_rows(_coboundary_rows(r, 0), v))
+    return _coboundary_of(v, r, 0)
 
 
 # --------------------------------------------------------------------------
 # Cohomology spaces
 # --------------------------------------------------------------------------
 
-def _images(columns: dict, vectors: list[dict]) -> list[dict]:
-    """M·v for each sparse vector v, M given by {j: sparse column j}."""
-    out = []
-    for v in vectors:
-        acc: dict = {}
-        for j, c in v.items():
-            for i, x in columns.get(j, {}).items():
-                acc[i] = acc.get(i, 0) + c * x
-        out.append({i: x for i, x in acc.items() if x})
-    return out
-
-
 def hom_cochain_basis(r: Representation, k: int) -> list[Cochain]:
     """Basis of C^k_{phi,A}: kernel of the linear system A∘f − f∘phi^⊗k = 0
     inside the space of skew k-tensors.  C^0 is the A-fixed subspace."""
     if k < 0:
         raise InputError("negative degree")
-    hom = _hom_system(r, k)
     return [cochain_from_coords(k, r.algebra.dim, r.module_dim, v)
-            for v in _fraction_kernel(hom, len(hom))[1]]
+            for v in _fraction_kernel(_hom_system(r, k), _size(r, k))[1]]
 
 
-def _exact_columns(r: Representation, k: int) -> list[dict]:
-    """D_{k−1}·c over a kernel basis c of the degree-(k−1) system: sparse int
-    vectors spanning B^k in the full skew k-space; B^0 = 0."""
+def _exact_columns(r: Representation, k: int) -> tuple[dict, int]:
+    """(D_{k−1}·C, n): the images under d_{k−1} of the n vectors of an int
+    basis C of C^{k−1}, as a map keyed (generator, coordinate) whose columns
+    span B^k in the full skew k-space; B^0 = 0."""
     if k == 0:
-        return []
-    hom = _hom_system(r, k - 1)
-    return _images(_transpose(_coboundary_rows(r, k - 1)), _kernel(hom, len(hom))[1])
+        return {}, 0
+    free, c = _kernel(_hom_system(r, k - 1), _size(r, k - 1))
+    return _ap(_coboundary(r, k - 1), ("j", c))[1], len(free)
 
 
 def cohomology_dims(r: Representation, k: int) -> tuple[int, int, int, int]:
@@ -364,23 +354,22 @@ def cohomology_dims(r: Representation, k: int) -> tuple[int, int, int, int]:
     if k < 0:
         raise InputError("negative degree")
     hom_k = _hom_system(r, k)
-    c_k = _kernel(hom_k, len(hom_k))[1]
-    if not c_k:
+    free, c_k = _kernel(hom_k, _size(r, k))
+    if not free:
         return (0, 0, 0, 0)
-    d_k = _coboundary_rows(r, k)
-    d_cols = _transpose(d_k)
-    dim_z = len(c_k) - len(_rref(_images(d_cols, c_k), len(d_k))[0])
-    img = _exact_columns(r, k)
-    dim_b = len(_rref(img, len(hom_k))[0])
+    d_k = _coboundary(r, k)
+    dim_z = len(free) - len(_rref(_ap(d_k, ("j", c_k))[1], len(free))[0])
+    img, n = _exact_columns(r, k)
+    dim_b = len(_rref(img, n)[0])
     # B^k ⊆ Z^k: every generator of B is a hom-cochain that d kills
     # (automatic for k >= 2 and a valid representation).
-    if any(_images(_transpose(hom_k), img)):
+    if _ap(hom_k, ("j", img))[1]:
         raise PreconditionError("coboundary requires a hom-cochain (A∘f = f∘phi^⊗k)")
-    if any(_images(d_cols, img)):
+    if _ap(d_k, ("j", img))[1]:
         raise PreconditionError(
             "B^1 is not contained in Z^1 for this representation under the "
             "degree-0 convention; see the package docs")
-    return (len(c_k), dim_z, dim_b, dim_z - dim_b)
+    return (len(free), dim_z, dim_b, dim_z - dim_b)
 
 
 def class_is_trivial(f: Cochain, r: Representation) -> bool:
@@ -389,14 +378,14 @@ def class_is_trivial(f: Cochain, r: Representation) -> bool:
         raise PreconditionError("class_is_trivial requires a hom-cochain")
     if f.degree < 1:
         raise InputError("class_is_trivial is for degree >= 1")
-    if any(_apply_rows(_coboundary_rows(r, f.degree), f.coords())):
+    if not _coboundary_of(f.coords(), r, f.degree).is_zero():
         raise PreconditionError("class_is_trivial requires a closed cochain (df = 0)")
     return _is_exact(f, r)
 
 
 def _is_exact(f: Cochain, r: Representation) -> bool:
     """Whether f, a closed hom-cochain of degree >= 1 for r, lies in B^k."""
-    return f.is_zero() or _in_span(_exact_columns(r, f.degree), dict(sparse_vec(f.coords())))
+    return f.is_zero() or _in_span(*_exact_columns(r, f.degree), dok(f.coords()))
 
 
 # --------------------------------------------------------------------------
@@ -415,29 +404,38 @@ def cohomology_inclusion_check(g: HomLieAlgebra, k: int) -> CheckReport:
         raise InputError("inclusion check is for degree >= 1")
     r_hom = trivial_representation(g)
     r_ord = trivial_representation(twisted_algebra(g))
-    hom = _hom_system(r_hom, k)
-    c_hom = _kernel(hom, len(hom))[1]
-    dc = _images(_transpose(_coboundary_rows(r_hom, k)), c_hom)
-    z_hom = _images(dict(enumerate(c_hom)), _kernel(_transpose(dc).values(), len(c_hom))[1])
-    b_hom = [c for c in _exact_columns(r_hom, k) if c]
-    b_ord = [c for c in _exact_columns(r_ord, k) if c]
+    free, c_hom = _kernel(_hom_system(r_hom, k), _size(r_hom, k))
+    free, z = _kernel(_ap(_coboundary(r_hom, k), ("j", c_hom))[1], len(free))
+    dim_z, z_hom = len(free), _ap(c_hom, ("j", z))[1]   # a basis of Z^k
+    b_hom, n_hom = _exact_columns(r_hom, k)
+    b_ord, n_ord = _exact_columns(r_ord, k)
     # g_phi has identity twist, so every cochain is a hom-cochain over it
-    d_ord = _transpose(_coboundary_rows(r_ord, k))
+    d_ord = _coboundary(r_ord, k)
     chk = LawChecker("cohomology_inclusion")
-    chk.scan("closed-in-twisted",
-             (((idx,), not dv) for idx, dv in enumerate(_images(d_ord, z_hom))),
-             note=f"{len(z_hom)} generator(s) of Z^{k}")
+    not_closed = {j for j, _ in _ap(d_ord, ("j", z_hom))[1]}
+    chk.scan("closed-in-twisted", (((j,), j not in not_closed) for j in range(dim_z)),
+             note=f"{dim_z} generator(s) of Z^{k}")
+    b_cols = sorted(_columns(b_hom).items())   # the nonzero generators of B^k
+    not_closed = {j for j, _ in _ap(d_ord, ("j", b_hom))[1]}
     chk.scan("exact-in-twisted",
-             (((idx,), not dv and _in_span(b_ord, v))
-              for idx, (v, dv) in enumerate(zip(b_hom, _images(d_ord, b_hom)))),
-             note=f"{len(b_hom)} generator(s) of B^{k}")
-    # a basis of span(z_hom) ∩ span(b_ord): the z_hom parts of the kernel of [z_hom | −b_ord]
-    pairs = z_hom + [{i: -x for i, x in w.items()} for w in b_ord]
-    inter: list[dict] = []
-    for z in _kernel(_transpose(pairs).values(), len(pairs))[1]:
-        v = _images(dict(enumerate(z_hom)), [{j: c for j, c in z.items() if j < len(z_hom)}])[0]
-        if v and not _in_span(inter, v):   # pruned to an independent set
-            inter.append(v)
-    chk.scan("injective", (((idx,), _in_span(b_hom, v)) for idx, v in enumerate(inter)),
+             (((idx,), j not in not_closed and _in_span(b_ord, n_ord, v))
+              for idx, (j, v) in enumerate(b_cols)),
+             note=f"{len(b_cols)} generator(s) of B^{k}")
+    # span(z_hom) ∩ span(b_ord) is spanned by the z_hom parts of the kernel of
+    # [z_hom | −b_ord]; its basis is those parts at the pivot columns of their RREF
+    free, pairs = _kernel({**z_hom, **{(dim_z + j, i): -x for (j, i), x in b_ord.items()}},
+                          dim_z + n_ord)
+    parts = _ap(z_hom, ("j", {key: x for key, x in pairs.items() if key[1] < dim_z}))[1]
+    cols = _columns(parts)
+    inter = [cols[l] for l in _rref(parts, len(free))[0]]
+    chk.scan("injective", (((idx,), _in_span(b_hom, n_hom, v)) for idx, v in enumerate(inter)),
              note=f"intersection dim {len(inter)}")
     return chk.report()
+
+
+def _columns(t: dict) -> dict:
+    """{column: that column of the map t as a vector keyed (row,)}, nonzero columns only."""
+    out: dict = {}
+    for (j, i), x in t.items():
+        out.setdefault(j, {})[i,] = x
+    return out

@@ -3,12 +3,12 @@
 Every axiom check in this package reduces to an identity between rational
 tensors, every cohomology space to a kernel, and every triviality question
 to exact solvability.  Immutable dense `Matrix`es over ``fractions.Fraction``
-are the API.  Beneath rank, kernels, solutions, inverses and span membership
-is one elimination, `_rref`, on sparse integer rows (dicts {column: int}):
-each row is scaled to ints over its own nonzeros, eliminated fraction-free
-with content division, and normalised to the unique reduced row echelon
-form only where a Fraction is returned, so the answers are those of
-Fraction elimination.  Matrix products run on ints too.
+are the API; beneath them a sparse matrix is one form, the `dok` map keyed
+(column, row), multiplied only by `_ap`.  One elimination, `_rref`, answers
+rank, kernels (as maps), solutions, inverses and span membership: it scales
+each row of the map to ints over its own nonzeros and eliminates it
+fraction-free with content division; Fractions are built only where a public
+function returns them.  The dense `Matrix` product runs on ints.
 
 Multilinear maps are evaluated one way, on dicts of keys.  `dok` gives a
 tensor (nested tuples of structure constants), a `Matrix` or a tuple of
@@ -27,6 +27,7 @@ rounding anywhere.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
@@ -360,20 +361,27 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _rref(rows: Iterable[dict], ncols: int) -> tuple[list[int], list[dict]]:
-    """Gauss–Jordan on sparse int copies of the rows {column: value}: each is
-    scaled to ints over its own nonzeros, eliminated fraction-free and divided
-    by its content.  Each pivot column, in order, takes the unused row with
-    the fewest nonzeros (Markowitz); columns >= ncols ride along unpivoted.
-    Returns (pivot columns, int rows), pivot rows first: row r of the unique
-    RREF is int row r over its pivot entry."""
-    irows = []
-    for row in rows:
+def _ints(t: dict) -> dict:
+    """t without its zero entries, each entry an int where integral."""
+    return {key: x.numerator if x.denominator == 1 else x for key, x in t.items() if x}
+
+
+def _rref(t: dict, ncols: int) -> tuple[list[int], list[dict]]:
+    """Gauss–Jordan on the rows of t, a map keyed (column, row) as `dok` keys a
+    Matrix: each row is scaled to ints, eliminated fraction-free and divided by
+    its content.  Each pivot column in turn takes the unused row with the fewest
+    nonzeros, then the least row key (Markowitz); columns >= ncols ride along.
+    Returns (pivot columns, int rows {column: value}), pivot rows first: row r
+    of the unique RREF is int row r over its pivot entry."""
+    irows: dict = defaultdict(dict)
+    for (j, i), x in t.items():
+        irows[i][j] = x
+    for i, row in irows.items():
         d = lcm(*(x.denominator for x in row.values()))
-        irows.append({j: x.numerator * (d // x.denominator) for j, x in row.items() if x})
-    free, pivots, order = set(range(len(irows))), [], []
-    for c in sorted({j for row in irows for j in row if j < ncols}):
-        holders = [i for i, row in enumerate(irows) if c in row]
+        irows[i] = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+    free, pivots, order = set(irows), [], []
+    for c in sorted({j for row in irows.values() for j in row if j < ncols}):
+        holders = [i for i, row in irows.items() if c in row]
         p = min((i for i in holders if i in free), key=lambda i: (len(irows[i]), i), default=None)
         if p is None:
             continue
@@ -395,42 +403,37 @@ def _rref(rows: Iterable[dict], ncols: int) -> tuple[list[int], list[dict]]:
     return pivots, [irows[i] for i in order] + [irows[i] for i in sorted(free)]
 
 
-def _kernel(rows: Iterable[dict], ncols: int) -> tuple[list[int], list[dict]]:
-    """(pivot columns, kernel basis) of the sparse rows: per free column j, the
-    int vector that is zero at the other free columns and, at j (its first
-    key), s > 0; divided by s it is the vector `rank_and_kernel` returns."""
-    pivots, irows = _rref(rows, ncols)
+def _kernel(t: dict, ncols: int) -> tuple[list[int], dict]:
+    """(free columns, kernel basis) of the map t (see `_rref`).  Column l of the
+    basis map is the int vector of the l-th free column j: zero at the other
+    free columns, s > 0 at j, and over s the vector `rank_and_kernel` returns."""
+    pivots, irows = _rref(t, ncols)
     above: dict = {}   # column j -> (pivot column, entry at j, pivot entry) per row
     for pc, row in zip(pivots, irows):
         for j, x in row.items():
             above.setdefault(j, []).append((pc, x, row[pc]))
-    kernel = []
-    for j in sorted(set(range(ncols)) - set(pivots)):
-        s = lcm(*(pv for _, _, pv in above.get(j, ())))
-        kernel.append({j: s, **{pc: -x * (s // pv) for pc, x, pv in above.get(j, ())}})
-    return pivots, kernel
+    free, kernel = sorted(set(range(ncols)) - set(pivots)), {}
+    for l, j in enumerate(free):
+        s = kernel[l, j] = lcm(*(pv for _, _, pv in above.get(j, ())))
+        for pc, x, pv in above.get(j, ()):
+            kernel[l, pc] = -x * (s // pv)
+    return free, kernel
 
 
-def _fraction_kernel(rows: Iterable[dict], ncols: int) -> tuple[int, list[Vec]]:
-    """Rank and the normalised Fraction kernel basis of the sparse rows."""
-    pivots, kernel = _kernel(rows, ncols)
-    return len(pivots), [tuple(Fraction(v[i], s) if i in v else F0 for i in range(ncols))
-                         for v in kernel for s in (next(iter(v.values())),)]
+def _fraction_kernel(t: dict, ncols: int) -> tuple[int, list[Vec]]:
+    """Rank and the normalised Fraction kernel basis of the map t."""
+    free, kernel = _kernel(t, ncols)
+    out = [[F0] * ncols for _ in free]
+    for (l, i), x in kernel.items():
+        out[l][i] = Fraction(x, kernel[l, free[l]])
+    return ncols - len(free), list(map(tuple, out))
 
 
-def _in_span(vectors: list[dict], v: dict) -> bool:
-    """Whether the sparse vector v is a rational combination of the vectors."""
-    pivots, rows = _rref(_transpose(vectors + [v]).values(), len(vectors))
-    return not any(len(vectors) in row for row in rows[len(pivots):])
-
-
-def _transpose(vectors) -> dict:
-    """{i: {j: v_j[i]}}: the nonzero rows of the matrix with sparse columns v_j."""
-    out: dict = {}
-    for j, v in enumerate(vectors):
-        for i, x in v.items():
-            out.setdefault(i, {})[j] = x
-    return out
+def _in_span(t: dict, n: int, v: dict) -> bool:
+    """Whether v, a vector keyed (index,) as `dok` keys one, is a rational
+    combination of the columns 0..n−1 of the map t; v joins t as column n."""
+    pivots, rows = _rref({**t, **{(n, *key): x for key, x in v.items()}}, n)
+    return not any(n in row for row in rows[len(pivots):])
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
@@ -440,7 +443,7 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[Vec]]:
     and the kernel vectors are linearly independent by construction (each
     has a 1 in a distinct free column).
     """
-    return _fraction_kernel(map(dict, map(enumerate, m.data)), m.cols)
+    return _fraction_kernel(dok(m), m.cols)
 
 
 def rank(m: Matrix) -> int:
@@ -454,8 +457,7 @@ def solve_linear(m: Matrix, b: Vec) -> Vec | None:
     """
     if len(b) != m.rows:
         raise InputError(f"rhs length {len(b)} != rows {m.rows}")
-    rows = [{**dict(enumerate(r)), m.cols: rat(x)} for r, x in zip(m.data, b)]
-    pivots, rows = _rref(rows, m.cols)
+    pivots, rows = _rref({**dok(m), **{(m.cols, i): x for i, x in sparse_vec(vec(b))}}, m.cols)
     if any(m.cols in row for row in rows[len(pivots):]):
         return None
     sol = dict(zip(pivots, rows))
@@ -465,12 +467,11 @@ def solve_linear(m: Matrix, b: Vec) -> Vec | None:
 
 def in_span(vectors: Sequence[Vec], target: Vec) -> bool:
     """True iff target is a rational linear combination of the given vectors."""
-    if not vectors:
-        return is_zero_vec(target)
-    n = len(vectors[0])
-    if any(len(v) != n for v in vectors) or len(target) != n:
+    target = vec(target)
+    if any(len(v) != len(target) for v in vectors):
         raise InputError("in_span: vectors must all have the same length")
-    return solve_linear(Matrix.from_columns(list(vectors)), tuple(rat(x) for x in target)) is not None
+    t = {(j, i): x for j, v in enumerate(vectors) for i, x in sparse_vec(vec(v))}
+    return _in_span(t, len(vectors), dok(target))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -478,7 +479,7 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise InputError("inverse of a non-square matrix")
     n = m.rows
-    pivots, rows = _rref([{**dict(enumerate(r)), n + i: F1} for i, r in enumerate(m.data)], n)
+    pivots, rows = _rref({**dok(m), **{(n + i, i): 1 for i in range(n)}}, n)
     if len(pivots) != n:
         raise InputError("matrix is singular")
     return Matrix(n, n, [[Fraction(r.get(n + j, 0), r[i]) for j in range(n)]

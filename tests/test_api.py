@@ -43,6 +43,9 @@ def test_removed_names_are_gone():
         assert not hasattr(homlie2, name) and not hasattr(homlie2.twovect, name)
     assert not hasattr(Matrix, "scale") and not hasattr(Matrix, "is_skew")
     assert not hasattr(Matrix, "row") and not hasattr(homlie2.TwoVectorSpace, "mor_coords")
+    for name in ("_apply_rows", "_images", "_coboundary_rows"):
+        assert not hasattr(homlie2.cohomology, name), name
+    assert not hasattr(homlie2.exactlin, "_transpose")
 
 
 def test_per_tuple_evaluators_of_the_old_law_scans_are_gone():

@@ -72,9 +72,9 @@ def test_class_is_trivial_tests_the_hom_cochain_condition_once(monkeypatch):
 def test_string_builds_the_degree_3_system_and_coboundary_once(monkeypatch):
     """l3_from_B's closedness test and the exactness solve share one
     representation, so the degree-3 hom-cochain system and d_3 are built once.
-    `_coboundary_rows` builds d_k, for `coboundary_matrix` too."""
+    `_coboundary` builds d_k, for `coboundary_matrix` too."""
     system = count_calls(monkeypatch, "cohomology", "_hom_system")
-    d = count_calls(monkeypatch, "cohomology", "_coboundary_rows")
+    d = count_calls(monkeypatch, "cohomology", "_coboundary")
     string_from_semisimple(sl2_sum(3))
     assert [args[1] for args in system].count(3) == 1
     assert [args[1] for args in d].count(3) == 1

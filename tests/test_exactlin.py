@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from helpers import (reference_inverse, reference_rank_and_kernel,
 from homlie2.cohomology import (_hom_system, adjoint_representation, coboundary_matrix,
                                 trivial_representation)
 from homlie2.errors import InputError
-from homlie2.exactlin import (Matrix, _rref, det_of, in_span, inverse, rank,
+from homlie2.exactlin import (Matrix, _rref, det_of, dok, from_dok, in_span, inverse, rank,
                               rank_and_kernel, rat, solve_linear)
 
 F = Fraction
@@ -64,6 +65,16 @@ def test_in_span_cases():
     assert not in_span([(F(1), F(0))], (F(0), F(1)))
     # (5,3) = 4*(1,1) + 1*(1,-1)
     assert in_span([(F(1), F(1)), (F(1), F(-1))], (F(5), F(3)))
+
+
+def test_in_span_coerces_its_target_with_or_without_vectors():
+    """A zero written as literals lies in every span, the empty one too; a bad
+    literal is an input error even where there is nothing to span."""
+    assert in_span([], ("0", "0")) and in_span([(1, 0)], ("0", "0"))
+    assert not in_span([], ("1/2",)) and in_span([(F(1),)], ("1/2",))
+    for vectors in ([], [(F(1),)]):
+        with pytest.raises(InputError, match="bad rational literal"):
+            in_span(vectors, ("x",))
 
 
 def test_bool_is_not_a_rational():
@@ -203,9 +214,8 @@ def test_cohomology_systems_match_reference(c):
     for r in (trivial_representation(g), adjoint_representation(g)):
         # k = 3 stops at module dim 3: the adjoint sl(2)^2 system there is 120x120
         for k in range(4 if r.module_dim <= 3 else 3):
-            rows = _hom_system(r, k)
-            hom = Matrix(len(rows), len(rows), [[row.get(j, 0) for j in range(len(rows))]
-                                                for row in rows])
+            size = comb(g.dim, k) * r.module_dim
+            hom = Matrix.from_columns(from_dok(_hom_system(r, k), (size, size)), rows=size)
             assert_matches_reference(hom)
             kernel = Matrix.from_columns(rank_and_kernel(hom)[1], rows=hom.cols)
             assert_matches_reference(coboundary_matrix(r, k) * kernel)
@@ -222,7 +232,7 @@ def sympy_rref(m):
 @given(rational_matrices())
 @settings(max_examples=80, deadline=None)
 def test_rref_matches_sympy(m):
-    pivots, rows = _rref([dict(enumerate(r)) for r in m.data], m.cols)
+    pivots, rows = _rref(dok(m), m.cols)
     ours = [[F(row.get(j, 0), row[pc]) for j in range(m.cols)] for row, pc in zip(rows, pivots)]
     assert (pivots, ours) == sympy_rref(m)
     assert rank(m) == len(pivots)
