@@ -19,9 +19,11 @@ full space (`coboundary_matrix`),
 
 and its restriction to hom-cochains is the twisted coboundary, with d∘d = 0
 on hom-cochains of degree >= 1.  Both systems are `dok` maps keyed (column,
-row), ints where integral, each Λ^k entry a wedge of sparse vectors; every
-answer is a product of them by `_ap` and a rank or kernel by `_rref`, with
-Fractions only where a public function returns them.  Degree 0 is a
+row), ints where integral, each Λ^k entry a wedge of sparse vectors.  Within
+one build Λphi(e_s) is computed once per tuple s: d_k wedges [u_i,u_j] into
+the spectators' Λ^{k−1}phi, once per (k−1)-tuple.  Every answer is a product
+of them by `_ap` and a rank or kernel by `_rref`, with Fractions only where a
+public function returns them.  Degree 0 is a
 convention of this artifact, not part of the twisted formula (whose
 spectator power phi^{k−1} is undefined at k = 0 for singular phi): it is
 the k = 0 case of d with the identity in place of phi^{k−1}, so C^0 is the
@@ -183,19 +185,43 @@ def _tuple_index(n: int, k: int) -> dict:
 
 def _wedge(vectors) -> dict:
     """v_1∧…∧v_k of sparse vectors ((index, coefficient) pairs) as the nonzero
-    {increasing s: minor on the rows s}: one entry from each vector, tuples
-    with a repeat dropped, each sorted with its sign; Π|supp v_i| terms."""
-    terms = {(): 1}
-    for v in vectors:
-        out: dict = {}
-        for s, c in terms.items():
-            for i, x in v:
-                if i not in s:
-                    p = bisect(s, i)   # e_s∧e_i: e_i moves past len(s) − p indices
-                    key = s[:p] + (i,) + s[p:]
-                    out[key] = out.get(key, 0) + (-c * x if (len(s) - p) % 2 else c * x)
-        terms = out
-    return {s: c for s, c in terms.items() if c}
+    {increasing s: minor on the rows s}, wedged in from the right."""
+    w = {(): 1}
+    for v in reversed(vectors):
+        w = _wedge_into(v, w)
+    return w
+
+
+def _wedge_into(v, w: dict) -> dict:
+    """v∧w for a sparse vector v and a wedge w keyed as `_wedge` keys it: one
+    term per entry of v and term of w, a tuple with a repeat dropped, and
+    e_i∧e_s sorted by moving e_i past the indices of s below i."""
+    out: dict = {}
+    for s, c in w.items():
+        for i, x in v:
+            if i not in s:
+                p = bisect(s, i)
+                key = s[:p] + (i,) + s[p:]
+                out[key] = out.get(key, 0) + (-c * x if p % 2 else c * x)
+    return {s: c for s, c in out.items() if c}
+
+
+def _phi_wedges(phi: Matrix):
+    """s -> Λφ(e_s) = φ(e_{s_1})∧…∧φ(e_{s_j}) for increasing tuples s, keyed as
+    `_wedge` keys it.  Each is computed once per function returned, as
+    φ(e_{s_1}) ∧ Λφ(e_{s[1:]}); φ's columns are grouped from `dok(phi)`."""
+    cols: list = [[] for _ in range(phi.cols)]
+    for (j, i), x in dok(phi).items():
+        cols[j].append((i, x))
+    memo: dict = {(): {(): 1}}
+
+    def wedge(s: tuple) -> dict:
+        w = memo.get(s)
+        if w is None:
+            w = memo[s] = (_wedge_into(cols[s[0]], wedge(s[1:])) if len(s) > 1
+                           else {(i,): x for i, x in cols[s[0]]})
+        return w
+    return wedge
 
 
 def zero_cochain(degree: int, alg_dim: int, module_dim: int) -> Cochain:
@@ -226,13 +252,12 @@ def _hom_system(r: Representation, k: int) -> dict:
     """A⊗1 − Λ^k phi on the full skew k-space as a map keyed (column, row),
     as `dok` keys a Matrix; its kernel is C^k_{phi,A}."""
     m, index = r.module_dim, _tuple_index(r.algebra.dim, k)
-    phi_cols = [sparse_vec(c) for c in r.algebra.phi.columns()]
-    a_map = dok(r.A)
+    wedge, a_map = _phi_wedges(r.algebra.phi), dok(r.A)
     h: dict = {}
     for ti, t in enumerate(index):
         h.update({(ti * m + b, ti * m + a): x for (b, a), x in a_map.items()})
         # f(phi e_{t_1}, .., phi e_{t_k}) = Σ_s (minor on s) · f(e_s)
-        for s, d in _wedge([phi_cols[i] for i in t]).items():
+        for s, d in wedge(t).items():
             for a in range(m):
                 key = (index[s] * m + a, ti * m + a)
                 h[key] = h.get(key, 0) - d
@@ -272,13 +297,16 @@ def _coboundary(r: Representation, k: int) -> dict:
     cols, index = _tuple_index(g.dim, k), _tuple_index(g.dim, k + 1)
     if not index:
         return {}
-    phi_cols = [sparse_vec(c) for c in g.phi.columns()]
     bracket: dict = {}    # [e_i, e_j] as (index, coefficient) pairs
     for (i, j, c), x in dok(g.bracket).items():
         bracket.setdefault((i, j), []).append((c, x))
+    power = {(i, i): 1 for i in range(g.dim)}   # phi^{k−1}, the identity at k = 0
+    for _ in range(k - 1):
+        power = _ap(dok(g.phi), ("j", power))[1]
     rho_tw = [[] for _ in range(g.dim)]   # rho(phi^{k−1} e_i) as (column b, row a, entry)
-    for (i, b, a), x in _ap(dok(r.rho), ("i", dok(g.phi.power(max(k - 1, 0)))), "m")[1].items():
+    for (i, b, a), x in _ap(dok(r.rho), ("i", power), "m")[1].items():
         rho_tw[i].append((b, a, x))
+    wedge = _phi_wedges(g.phi)   # the spectators' Λφ, once per (k−1)-tuple
     d: dict = {}
     for ti, t in enumerate(index):
         for pos in range(k + 1):
@@ -287,9 +315,10 @@ def _coboundary(r: Representation, k: int) -> dict:
                 key = (c0 + b, ti * m + a)
                 d[key] = d.get(key, 0) + (-x if pos % 2 else x)
         for p, q in combinations(range(k + 1), 2):
-            args = [bracket.get((t[p], t[q]), ())]
-            args += [phi_cols[t[s]] for s in range(k + 1) if s not in (p, q)]
-            for s, w in _wedge(args).items():
+            v = bracket.get((t[p], t[q]))
+            if not v:
+                continue
+            for s, w in _wedge_into(v, wedge(t[:p] + t[p + 1:q] + t[q + 1:])).items():
                 for a in range(m):
                     key = (cols[s] * m + a, ti * m + a)
                     d[key] = d.get(key, 0) + (-w if (p + q) % 2 else w)

@@ -6,18 +6,21 @@ to exact solvability.  Immutable dense `Matrix`es over ``fractions.Fraction``
 are the API; beneath them a sparse matrix is one form, the `dok` map keyed
 (column, row), multiplied only by `_ap`.  One elimination, `_rref`, answers
 rank, kernels (as maps), solutions, inverses and span membership: it scales
-each row of the map to ints over its own nonzeros and eliminates it
-fraction-free with content division; Fractions are built only where a public
-function returns them.  The dense `Matrix` product runs on ints.
+each row of the map that holds a Fraction to ints over its own nonzeros and
+eliminates fraction-free with content division, finding the rows nonzero in
+a column through an index kept current as rows change; Fractions are built
+only where a public function returns them.  The dense `Matrix` product runs
+on ints.
 
 Multilinear maps are evaluated one way, on dicts of keys.  `dok` gives a
 tensor (nested tuples of structure constants), a `Matrix` or a tuple of
 matrices as {(input indices..., output index): nonzero coefficient}, the
-coefficient an int where integral; a `Tensor` keeps its `dok`, read-only,
-from first use, and `from_dok` turns a dict back into nested tuples.  `_ap`
-substitutes expressions into a map's inputs one slot at a time and `_sum`
-adds signed terms with renamed slots: the residual tensors (lhs − rhs) of
-the laws and every construction's structure constants are built with them.
+coefficient an int where integral; a `Tensor` or a `Matrix` keeps its `dok`,
+read-only, from first use, and `from_dok` turns a dict back into nested
+tuples.  `_ap` substitutes expressions into a map's inputs one slot at a
+time and `_sum` adds signed terms with renamed slots: the residual tensors
+(lhs − rhs) of the laws and every construction's structure constants are
+built with them.
 Int–Fraction arithmetic is exact and ``3 == Fraction(3)`` with equal
 hashes, so every comparison gives the answer Fraction arithmetic would.
 Evaluated vectors may hold ints; stored structures stay all-Fraction,
@@ -49,6 +52,14 @@ Vec = tuple  # tuple of Fraction (evaluated vectors may hold ints where integral
 
 def rat(x) -> Fraction:
     """Coerce an int, string ("p/q" or "p") or Fraction to a Fraction."""
+    # exact-class tests first: Fraction's metaclass is ABCMeta, whose
+    # isinstance check is slow, and a model's entries are nearly all ints
+    cls = x.__class__
+    if cls is int:
+        f = _SMALL.get(x)
+        return Fraction(x) if f is None else f
+    if cls is Fraction:
+        return x
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -66,7 +77,7 @@ def rat(x) -> Fraction:
 
 
 def vec(xs: Iterable) -> Vec:
-    return tuple(rat(x) for x in xs)
+    return tuple(map(rat, xs))
 
 
 def zero_vec(n: int) -> Vec:
@@ -126,11 +137,10 @@ def dok(t) -> dict:
     index) -> nonzero coefficient, int where integral.  A tensor T[i][j]
     gives keys (i, j, k), a vector v keys (k,); a Matrix, as the map
     v -> M·v, (column, row); a tuple of matrices M_i, as the map
-    (x, v) -> Σ x_i M_i·v, (i, column, row).  A Tensor's is its kept `dok`."""
-    if isinstance(t, Tensor):
+    (x, v) -> Σ x_i M_i·v, (i, column, row).  A Tensor's or a Matrix's is
+    its kept `dok`."""
+    if isinstance(t, (Tensor, Matrix)):
         return t.dok
-    if isinstance(t, Matrix):
-        return {(j, i): c for j in range(t.cols) for i, c in sparse_vec(t.column(j))}
     if t and isinstance(t[0], Matrix):
         return {(i, *key): c for i, m in enumerate(t) for key, c in dok(m).items()}
     return _dok(t)
@@ -204,9 +214,11 @@ def _sum(*terms):
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, stored as row tuples."""
+    """Immutable dense matrix of Fractions, stored as row tuples.  Equality,
+    hash and repr are those of the shape and the rows; `dok` is the map
+    v -> M·v keyed (column, row), built on first use and read-only."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_dok")
 
     def __init__(self, rows: int, cols: int, data):
         rows_t = tuple(tuple(x if x.__class__ is Fraction else rat(x) for x in row)
@@ -254,6 +266,16 @@ class Matrix:
         entries = vec(entries)
         n = len(entries)
         return cls(n, n, [[entries[i] if i == j else F0 for j in range(n)] for i in range(n)])
+
+    @property
+    def dok(self) -> MappingProxyType:
+        try:
+            return self._dok
+        except AttributeError:
+            t = MappingProxyType({(j, i): c for j, col in enumerate(zip(*self.data))
+                                  for i, c in sparse_vec(col)})
+            object.__setattr__(self, "_dok", t)
+            return t
 
     # -- access ------------------------------------------------------------
 
@@ -368,33 +390,48 @@ def _ints(t: dict) -> dict:
 
 def _rref(t: dict, ncols: int) -> tuple[list[int], list[dict]]:
     """Gauss–Jordan on the rows of t, a map keyed (column, row) as `dok` keys a
-    Matrix: each row is scaled to ints, eliminated fraction-free and divided by
-    its content.  Each pivot column in turn takes the unused row with the fewest
-    nonzeros, then the least row key (Markowitz); columns >= ncols ride along.
-    Returns (pivot columns, int rows {column: value}), pivot rows first: row r
-    of the unique RREF is int row r over its pivot entry."""
+    Matrix, with no zero entry: each row is scaled to ints (rows already all
+    ints as they are), eliminated fraction-free and divided by its content.
+    Each pivot column in turn takes the unused row with the fewest nonzeros,
+    then the least row key (Markowitz); an index of the rows nonzero in each
+    column, kept current as rows change, finds the candidates.  Columns
+    >= ncols ride along.  Returns (pivot columns, int rows {column: value}),
+    pivot rows first: row r of the unique RREF is int row r over its pivot
+    entry."""
     irows: dict = defaultdict(dict)
+    held: dict = defaultdict(set)   # column -> the rows nonzero there
+    scale = set()                   # the rows holding a Fraction
     for (j, i), x in t.items():
         irows[i][j] = x
-    for i, row in irows.items():
+        held[j].add(i)
+        if x.__class__ is not int:
+            scale.add(i)
+    for i in scale:
+        row = irows[i]
         d = lcm(*(x.denominator for x in row.values()))
-        irows[i] = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+        irows[i] = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
     free, pivots, order = set(irows), [], []
-    for c in sorted({j for row in irows.values() for j in row if j < ncols}):
-        holders = [i for i, row in irows.items() if c in row]
-        p = min((i for i in holders if i in free), key=lambda i: (len(irows[i]), i), default=None)
+    for c in sorted(j for j in held if j < ncols):
+        p = min((i for i in held[c] if i in free), key=lambda i: (len(irows[i]), i), default=None)
         if p is None:
             continue
         prow = irows[p]
-        for i in holders:
-            if i != p:
-                g = gcd(prow[c], irows[i][c])
-                a, b = prow[c] // g, irows[i][c] // g
-                new = {j: a * x for j, x in irows[i].items()}
-                for j, y in prow.items():
-                    new[j] = new.get(j, 0) - b * y
-                g = gcd(*new.values()) or 1
-                irows[i] = {j: x // g for j, x in new.items() if x}
+        for i in [i for i in held[c] if i != p]:
+            row = irows[i]
+            g = gcd(prow[c], row[c])
+            a, b = prow[c] // g, row[c] // g
+            new = {j: a * x for j, x in row.items()}
+            for j, y in prow.items():
+                x = new.get(j, 0) - b * y
+                if x:
+                    if j not in new:
+                        held[j].add(i)
+                    new[j] = x
+                else:          # b·y != 0, so j was in the row
+                    del new[j]
+                    held[j].discard(i)
+            g = gcd(*new.values())
+            irows[i] = {j: x // g for j, x in new.items()} if g > 1 else new
         free.discard(p)
         pivots.append(c)
         order.append(p)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from helpers import (reference_inverse, reference_rank_and_kernel,
+from helpers import (reference_inverse, reference_rank_and_kernel, reference_rref,
                      reference_solve_linear, sl2_sum)
 from homlie2.cohomology import (_hom_system, adjoint_representation, coboundary_matrix,
                                 trivial_representation)
 from homlie2.errors import InputError
 from homlie2.exactlin import (Matrix, _rref, det_of, dok, from_dok, in_span, inverse, rank,
-                              rank_and_kernel, rat, solve_linear)
+                              rank_and_kernel, rat, solve_linear, vec)
 
 F = Fraction
 
@@ -83,6 +83,27 @@ def test_bool_is_not_a_rational():
             rat(bad)
     with pytest.raises(InputError):
         Matrix(1, 1, [[True]])
+
+
+def test_rat_keeps_its_values_and_types():
+    """The exact-class fast paths for int and Fraction give what the
+    isinstance chain gives: an int subclass and a huge int are coerced as ints
+    are, small values come out shared, and a Fraction comes back as itself."""
+    class Int(int):
+        pass
+
+    for x, want, shared in ((Int(5), F(5), True), (Int(100), F(100), False),
+                            (10 ** 30, F(10 ** 30), False), (-10 ** 30, F(-10 ** 30), False),
+                            ("-12/3", F(-4), True), (3, F(3), True), (-17, F(-17), False)):
+        got = rat(x)
+        assert got == want and type(got) is F and type(got.numerator) is int
+        assert (rat(x) is got) == shared
+    q = F(7, 3)
+    assert rat(q) is q
+    assert vec([Int(2), "1/2", q]) == (F(2), F(1, 2), q) and vec(iter([1])) == (F(1),)
+    for bad in (True, 1.5, None):
+        with pytest.raises(InputError, match="cannot interpret"):
+            rat(bad)
 
 
 def test_inverse_and_det():
@@ -236,3 +257,57 @@ def test_rref_matches_sympy(m):
     ours = [[F(row.get(j, 0), row[pc]) for j in range(m.cols)] for row, pc in zip(rows, pivots)]
     assert (pivots, ours) == sympy_rref(m)
     assert rank(m) == len(pivots)
+
+
+@st.composite
+def sparse_maps(draw):
+    """(map keyed (column, row), ncols, row keys, total columns): sparse rows,
+    some duplicated or scaled from an earlier row, over row keys with gaps
+    (zero rows); some rows all ints, some with Fractions; 0-3 columns >= ncols
+    ride along."""
+    ncols, extra = draw(st.integers(1, 8)), draw(st.integers(0, 3))
+    width = ncols + extra
+    keys = sorted(draw(st.sets(st.integers(0, 14), max_size=9)))
+    rows: dict = {}
+    for i in keys:
+        if rows and draw(st.integers(0, 3)) == 0:
+            c = draw(st.sampled_from((1, -1, 2, F(1, 2))))
+            rows[i] = [c * x for x in rows[draw(st.sampled_from(sorted(rows)))]]
+        else:
+            entry = entries if draw(st.booleans()) else st.integers(-4, 4)
+            rows[i] = [draw(entry) if draw(st.integers(0, 2)) == 0 else 0 for _ in range(width)]
+    t = {(j, i): (x.numerator if isinstance(x, F) and x.denominator == 1 else x)
+         for i, row in rows.items() for j, x in enumerate(row) if x}
+    return t, ncols, keys, width
+
+
+@given(sparse_maps())
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_reference_on_sparse_maps(case):
+    """`_rref` on maps whose elimination fills in new columns, with duplicate
+    and zero rows, against Gauss–Jordan on the dense rows: the same pivots and
+    the same RREF on the columns < ncols.  The columns >= ncols ride along:
+    the rows returned span the input's rows, the rows past the pivots are zero
+    below ncols, and a pivot row differs from the reference's only by the span
+    of the reference's rows past the pivots."""
+    t, ncols, keys, width = case
+    dense = [[F(t.get((j, i), 0)) for j in range(width)] for i in range(max(keys, default=-1) + 1)]
+    ref = [list(r) for r in dense]
+    ref_pivots = reference_rref(ref, ncols)
+    pivots, rows = _rref(t, ncols)
+    assert pivots == ref_pivots
+    assert len(rows) == len({i for _, i in t})
+    assert all(type(x) is int and x for row in rows for x in row.values())
+    ours = [[F(row.get(j, 0), row[pc]) for j in range(width)] for row, pc in zip(rows, pivots)]
+    rest = [[F(row.get(j, 0)) for j in range(width)] for row in rows[len(pivots):]]
+    assert [r[:ncols] for r in ours] == [r[:ncols] for r in ref[:len(pivots)]]
+    assert all(not any(r[:ncols]) for r in rest)
+
+    def rank_of(vectors):
+        return reference_rank_and_kernel(Matrix(len(vectors), width, vectors))[0]
+
+    assert rank_of(ours + rest) == rank_of(dense) == rank_of(dense + ours + rest)
+    ref_rest = ref[len(pivots):]
+    for mine, theirs in zip(ours, ref):
+        diff = [a - b for a, b in zip(mine, theirs)]
+        assert rank_of(ref_rest + [diff]) == rank_of(ref_rest)

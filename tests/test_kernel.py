@@ -4,7 +4,8 @@
 `dok`, must return vectors equal (==) to the reference loops in
 `tests/helpers.py`, holding only ints and Fractions, never a float, and
 `dual_representation` must give what its old pairing gate gave.  `from_dok`
-inverts `dok` on nested tuples, and a `Tensor` keeps its `dok` read-only.
+inverts `dok` on nested tuples, and a `Tensor` or a `Matrix` keeps its `dok`
+read-only.
 Every structure the constructors build must still hold only Fractions.
 """
 
@@ -153,6 +154,24 @@ def test_tensor_behaves_as_its_tuple():
     assert t.dok is t.dok
     with pytest.raises(TypeError):
         t.dok[0, 1, 0] = 1
+
+
+def test_matrix_keeps_its_dok():
+    """A Matrix builds its map once, from the coerced data, read-only; whether
+    it has been built changes neither equality, hash nor immutability."""
+    m = Matrix(2, 3, [["1/2", 3, 0], [0, "-4/2", F(6, 3)]])
+    assert dict(dok(m)) == {(0, 0): F(1, 2), (1, 0): 3, (1, 1): -2, (2, 1): 2}
+    assert [type(x) for x in dok(m).values()] == [F, int, int, int]
+    assert list(dok(m)) == [(0, 0), (1, 0), (1, 1), (2, 1)]   # column by column
+    assert dok(m) is dok(m) is m.dok
+    with pytest.raises(TypeError):
+        dok(m)[0, 1] = 1
+    fresh = Matrix(2, 3, [[F(1, 2), 3, 0], [0, -2, 2]])
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    for name in ("data", "_dok", "rows"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(m, name, None)
+    assert dict(dok(Matrix.zeros(0, 2))) == {} and dict(dok(Matrix.zeros(2, 0))) == {}
 
 
 def test_rat_shares_small_integers():
