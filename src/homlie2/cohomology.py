@@ -40,8 +40,8 @@ from functools import lru_cache, partial
 from itertools import combinations
 
 from .errors import InputError, PreconditionError
-from .exactlin import (F0, Matrix, Vec, _ap, _fraction_kernel, _in_span, _ints, _kernel, _rref,
-                       _sum, dok, from_dok, is_zero_vec, sparse_vec, vadd, vscale, zero_vec)
+from .exactlin import (Matrix, Vec, _ap, _fraction_kernel, _in_span, _ints, _kernel, _rref, _sum,
+                       dok, from_dok, is_zero_vec, sparse_vec, vadd, vec, vscale, zero_vec)
 from .homlie import HomLieAlgebra
 from .reports import CheckReport, LawChecker
 
@@ -133,22 +133,24 @@ class Cochain:
     def tuples(self):
         return iter(_tuple_index(self.alg_dim, self.degree))
 
-    def component(self, t) -> Vec:
+    def _position(self, t) -> int:
         try:
-            return self.comps[_tuple_index(self.alg_dim, self.degree)[tuple(t)]]
+            return _tuple_index(self.alg_dim, self.degree)[tuple(t)]
         except KeyError:
             raise InputError(f"not an increasing {self.degree}-tuple below "
                              f"{self.alg_dim}: {tuple(t)}") from None
 
+    def component(self, t) -> Vec:
+        return self.comps[self._position(t)]
+
     def evaluate(self, vectors: list[Vec]) -> Vec:
-        """Multilinear-skew evaluation at arbitrary coordinate vectors."""
+        """Multilinear-skew evaluation at arbitrary coordinate vectors: the
+        components on the tuples of the vectors' wedge applied to it, one `_ap`."""
         if len(vectors) != self.degree:
             raise InputError(f"expected {self.degree} arguments")
-        out = [F0] * self.module_dim
-        for s, d in _wedge([sparse_vec(v) for v in vectors]).items():
-            for a, e in enumerate(self.component(s)):
-                out[a] += d * e
-        return tuple(out)
+        w = {(self._position(s),): d for s, d in _wedge([sparse_vec(v) for v in vectors]).items()}
+        f = {(p, a): x for (p,) in w for a, x in sparse_vec(self.comps[p])}
+        return vec(from_dok(_ap(f, ("", w))[1], (self.module_dim,)))
 
     def coords(self) -> Vec:
         return tuple(x for c in self.comps for x in c)

@@ -7,10 +7,10 @@ crossed modules.  Hom-left-symmetric products and symplectic structures both
 produce strict two-term structures; the symplectic route goes through a
 star product solved exactly from omega(x*y, phi z) = -omega(phi y, [x,z]).
 
-Every multilinear law checked here (invariance of a form, the crossed-module
-laws, the product and differential laws, closedness of omega) is built once
-as a residual tensor with `exactlin._ap`/`_sum`, a form as a map into a
-line, and scanned over the basis tuples as lookups.
+Every law checked here (each law of a form, the crossed-module laws, the
+product and differential laws) is built once as a residual tensor with
+`exactlin._ap`/`_sum`, a form as a map into a line (`exactlin._form`), and
+scanned over the basis tuples as lookups.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .cohomology import (Cochain, Representation, _is_exact, check_representatio
                          cochain_from_function, coboundary, dual_representation,
                          trivial_representation)
 from .errors import CheckFailure, InputError, PreconditionError
-from .exactlin import Matrix, _ap, _sum, dok, from_dok, inverse, rank, rat, vneg, zero_vec
+from .exactlin import (Matrix, _ap, _form, _product, _sum, dok, from_dok, inverse, rank, rat,
+                       vneg, zero_vec)
 from .homlie import (HomLieAlgebra, HomLieMorphism, Tensor2, as_tensor2, check_hom_lie,
                      check_hom_lie_morphism, killing_form, twisted_algebra)
 from .hl2 import TwoTermHL, _skew3, check_two_term
@@ -46,25 +47,23 @@ class QuadraticHomLie:
             raise InputError(f"form must be {n}x{n}, got {self.B.shape()}")
 
 
-def _form(B: Matrix) -> dict:
-    """The bilinear form (x, y) -> x^T B y as a map into a line, keyed as `dok` keys."""
-    return {(i, j, 0): c for (j, i), c in dok(B).items()}
-
-
 def check_quadratic(q: QuadraticHomLie) -> CheckReport:
     """Nondegeneracy, symmetry, invariance, phi-symmetry, and the two-of-three
     relation between phi-symmetry, involutivity, and isometry."""
     g, B = q.algebra, q.B
     n = g.dim
     chk = LawChecker("quadratic")
-    chk.add_matrix_eq("symmetric", B, B.transpose())
+    form, phi = partial(_ap, _form(B)), partial(_ap, dok(g.phi))
+    chk.scan_zero("symmetric", (n, n), _sum((1, form("a", "b")), (-1, form("b", "a")))[1])
     chk.add("nondegenerate", rank(B) == n)
-    t = _ap(_form(B), _ap(dok(g.bracket), "a", "b"), "c")    # B([a,b], c)
+    t = form(_ap(dok(g.bracket), "a", "b"), "c")               # B([a,b], c)
     chk.scan_zero("invariance", (n,) * 3, _sum((1, t), (1, t, "acb"))[1])
-    phi_sym = chk.add_matrix_eq("phi-symmetric", B * g.phi, g.phi.transpose() * B)
+    phi_sym = chk.scan_zero("phi-symmetric", (n, n), _sum(
+        (1, form("a", phi("b"))), (-1, form(phi("a"), "b")))[1])
     involutive = g.is_involutive()
     chk.add("involutive", involutive)
-    isometry = chk.add_matrix_eq("isometry", g.phi.transpose() * B * g.phi, B)
+    isometry = chk.scan_zero("isometry", (n, n), _sum(
+        (1, form(phi("a"), phi("b"))), (-1, form("a", "b")))[1])
     count = sum(1 for flag in (phi_sym, involutive, isometry) if flag)
     chk.add("two-of-three", count != 2,
             note="any two of {phi-symmetric, involutive, isometry} force the third")
@@ -123,8 +122,7 @@ def _skeletal(g: HomLieAlgebra, f: Cochain) -> TwoTermHL:
         return vneg(f.component(sorted(t))) if odd % 2 else f.component(sorted(t))
 
     l3 = tuple(tuple(tuple(at((i, j, k)) for k in range(n)) for j in range(n)) for i in range(n))
-    l2_01 = tuple(tuple(zero_vec(1) for _ in range(1)) for _ in range(n))
-    out = TwoTermHL(n, 1, Matrix.zeros(n, 1), g.bracket, l2_01, l3,
+    out = TwoTermHL(n, 1, Matrix.zeros(n, 1), g.bracket, from_dok({}, (n, 1, 1)), l3,
                     g.phi, Matrix.identity(1))
     check_two_term(out).require("skeletal_from_quadratic output")
     return out
@@ -227,8 +225,7 @@ def strict_to_crossed(v: TwoTermHL) -> CrossedModule:
     g = HomLieAlgebra(n0, v.l2_00, v.phi0)
     h_bracket = from_dok(_ap(dok(v.l2_01), _ap(dok(v.d), "a"), "b")[1], (n1,) * 3)
     h = HomLieAlgebra(n1, h_bracket, v.phi1)
-    action = tuple(Matrix.from_columns([v.l2_01[i][a] for a in range(n1)], rows=n1)
-                   for i in range(n0))
+    action = tuple(Matrix.from_columns(row, rows=n1) for row in v.l2_01)
     cm = CrossedModule(h, g, v.d, action)
     check_crossed_module(cm).require("strict_to_crossed output")
     return cm
@@ -238,10 +235,8 @@ def crossed_to_strict(cm: CrossedModule) -> TwoTermHL:
     """V0 = g, V1 = h, d = dt, l2(x,m) = x.m, l3 = 0."""
     check_crossed_module(cm).require("crossed_to_strict input")
     n0, n1 = cm.g.dim, cm.h.dim
-    l2_01 = tuple(tuple(cm.action[i].column(a) for a in range(n1)) for i in range(n0))
-    l3 = tuple(tuple(tuple(zero_vec(n1) for _ in range(n0)) for _ in range(n0))
-               for _ in range(n0))
-    out = TwoTermHL(n0, n1, cm.dt, cm.g.bracket, l2_01, l3, cm.g.phi, cm.h.phi)
+    out = TwoTermHL(n0, n1, cm.dt, cm.g.bracket, from_dok(dok(cm.action), (n0, n1, n1)),
+                    from_dok({}, (n0, n0, n0, n1)), cm.g.phi, cm.h.phi)
     check_two_term(out).require("crossed_to_strict output")
     return out
 
@@ -291,8 +286,7 @@ def check_left_symmetric(a: HomLeftSymmetric) -> tuple[CheckReport, LeftSymmetri
     s = ("ab", dok(a.star))
     sub = HomLieAlgebra(n, from_dok(_sum((1, s), (-1, s, "ba"))[1], (n, n, n)), a.phi)
     check_hom_lie(sub).require("sub-adjacent algebra")
-    rho = tuple(Matrix.from_columns([a.star[i][j] for j in range(n)], rows=n)
-                for i in range(n))
+    rho = tuple(Matrix.from_columns(row, rows=n) for row in a.star)
     rep = Representation(sub, n, a.phi, rho)
     check_representation(rep).require("left-regular representation")
     dual = dual_representation(rep) if sub.is_involutive() else None
@@ -308,7 +302,8 @@ def leftsym_d_report(a: HomLeftSymmetric, d: Matrix) -> CheckReport:
     if d.shape() != (n, n):
         raise InputError("d has wrong shape")
     chk = LawChecker("leftsym_d")
-    chk.add_matrix_eq("d-phi-commute", d * a.phi, a.phi * d)
+    chk.scan_zero("d-phi-commute", (n, n), _sum(
+        (1, _product(d, a.phi)), (-1, _product(a.phi, d)))[1])
     star, dm = partial(_ap, dok(a.star)), partial(_ap, dok(d))
     shift = star(dm("a"), "b")                                   # (da)*b
     chk.scan_zero("d-star-shift", (n, n), _sum((1, shift), (-1, star("a", dm("b"))))[1],
@@ -339,11 +334,8 @@ def strict_from_leftsym(a: HomLeftSymmetric, d: Matrix) -> TwoTermHL:
         failed = ", ".join(item.law for item in d_report.failures())
         raise PreconditionError(f"d is not compatible with the product: {failed}",
                                 report=d_report)
-    sub = derived.sub_adjacent
-    l2_01 = tuple(tuple(a.star[i][j] for j in range(n)) for i in range(n))
-    l3 = tuple(tuple(tuple(zero_vec(n) for _ in range(n)) for _ in range(n))
-               for _ in range(n))
-    out = TwoTermHL(n, n, d, sub.bracket, l2_01, l3, a.phi, a.phi)
+    out = TwoTermHL(n, n, d, derived.sub_adjacent.bracket, a.star, from_dok({}, (n,) * 4),
+                    a.phi, a.phi)
     check_two_term(out).require("strict_from_leftsym output")
     return out
 
@@ -376,11 +368,13 @@ def check_symplectic(s: SymplecticHomLie) -> CheckReport:
         raise PreconditionError("symplectic structures live on regular algebras "
                                 "(invertible twist)")
     chk = LawChecker("symplectic")
-    chk.add_matrix_eq("skew", omega, -(omega.transpose()))
+    form, phi = partial(_ap, _form(omega)), partial(_ap, dok(g.phi))
+    chk.scan_zero("skew", (n, n), _sum((1, form("a", "b")), (1, form("b", "a")))[1])
     chk.add("nondegenerate", rank(omega) == n)
-    chk.add_matrix_eq("phi-invariant", g.phi.transpose() * omega * g.phi, omega,
-                      note="omega(phi x, phi y) = omega(x, y)")
-    t = _ap(_form(omega), _ap(dok(g.phi), "a"), _ap(dok(g.bracket), "b", "c"))
+    chk.scan_zero("phi-invariant", (n, n), _sum(
+        (1, form(phi("a"), phi("b"))), (-1, form("a", "b")))[1],
+        note="omega(phi x, phi y) = omega(x, y)")
+    t = form(phi("a"), _ap(dok(g.bracket), "b", "c"))
     chk.scan_zero("closed", (n,) * 3, _sum((1, t, "xyz"), (1, t, "yzx"), (1, t, "zxy"))[1],
                   note="omega(phi x,[y,z]) + cyclic = 0")
     return merge_reports("symplectic", algebra=check_hom_lie(g), form=chk.report())
@@ -434,9 +428,7 @@ def strict_from_symplectic(s: SymplecticHomLie) -> TwoTermHL:
     dual = _solve_star(s)[1].dual
     n = g.dim
     d = g.phi * inverse(s.sharp())
-    l2_01 = tuple(tuple(dual.rho[i].column(b) for b in range(n)) for i in range(n))
-    l3 = tuple(tuple(tuple(zero_vec(n) for _ in range(n)) for _ in range(n))
-               for _ in range(n))
-    out = TwoTermHL(n, n, d, g.bracket, l2_01, l3, g.phi, g.phi.transpose())
+    out = TwoTermHL(n, n, d, g.bracket, from_dok(dok(dual.rho), (n,) * 3),
+                    from_dok({}, (n,) * 4), g.phi, g.phi.transpose())
     check_two_term(out).require("strict_from_symplectic output")
     return out

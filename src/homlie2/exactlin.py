@@ -10,7 +10,7 @@ each row of the map that holds a Fraction to ints over its own nonzeros and
 eliminates fraction-free with content division, finding the rows nonzero in
 a column through an index kept current as rows change; Fractions are built
 only where a public function returns them.  The dense `Matrix` product runs
-on ints.
+on ints; it serves callers of the API, and no check multiplies matrices.
 
 Multilinear maps are evaluated one way, on dicts of keys.  `dok` gives a
 tensor (nested tuples of structure constants), a `Matrix` or a tuple of
@@ -20,7 +20,9 @@ read-only, from first use, and `from_dok` turns a dict back into nested
 tuples.  `_ap` substitutes expressions into a map's inputs one slot at a
 time and `_sum` adds signed terms with renamed slots: the residual tensors
 (lhs − rhs) of the laws and every construction's structure constants are
-built with them.
+built with them.  `_form` reads a Matrix as the bilinear form x^T M y, and
+`_product` a product A·B as an expression over it, so an equality of matrix
+products is a residual like any other law.
 Int–Fraction arithmetic is exact and ``3 == Fraction(3)`` with equal
 hashes, so every comparison gives the answer Fraction arithmetic would.
 Evaluated vectors may hold ints; stored structures stay all-Fraction,
@@ -213,6 +215,18 @@ def _sum(*terms):
     return args, {key: v for key, v in acc.items() if v}
 
 
+def _form(m: "Matrix") -> dict:
+    """The bilinear form (x, y) -> x^T M y as a map into a line, keyed
+    (row, column, 0): a law between matrices is a residual in these slots,
+    and its least failing key is the first differing entry in row-major order."""
+    return {(i, j, 0): c for (j, i), c in dok(m).items()}
+
+
+def _product(a: "Matrix", b: "Matrix"):
+    """A·B as an expression in the slots a (row) and b (column), keyed as `_form` keys."""
+    return _ap(_form(a), "a", _ap(dok(b), "b"))
+
+
 class Matrix:
     """Immutable dense matrix of Fractions, stored as row tuples.  Equality,
     hash and repr are those of the shape and the rows; `dok` is the map
@@ -335,16 +349,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def power(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise InputError("power of a non-square matrix")
-        if k < 0:
-            raise InputError("negative matrix power")
-        out = Matrix.identity(self.rows)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:

@@ -99,16 +99,6 @@ class LawChecker:
         self._items.append(CheckItem(law, passed, witness if not passed else None, note))
         return passed
 
-    def add_matrix_eq(self, law: str, a, b, note: str = "") -> bool:
-        """Exact matrix equality with the first differing entry as witness."""
-        if a.shape() != b.shape():
-            return self.add(law, False, witness=a.shape(), note=note or "shape mismatch")
-        for i in range(a.rows):
-            for j in range(a.cols):
-                if a[i, j] != b[i, j]:
-                    return self.add(law, False, witness=(i, j), note=note)
-        return self.add(law, True, note=note)
-
     def scan(self, law: str, pairs, note: str = "") -> bool:
         """pairs: iterable of (witness_tuple, ok_bool) in deterministic order."""
         for witness, ok in pairs:

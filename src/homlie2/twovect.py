@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .exactlin import Matrix, Vec, _ap, dok, from_dok, vadd
+from .exactlin import Matrix, Vec, _ap, _product, _sum, dok, from_dok, vadd
 
 Morphism = tuple  # (Vec over V0, Vec over V1)
 
@@ -61,4 +61,4 @@ def check_linear_functor(pair: tuple[Matrix, Matrix], tvs: TwoVectorSpace) -> bo
     a0, a1 = pair
     if a0.shape() != (tvs.dim0, tvs.dim0) or a1.shape() != (tvs.dim1, tvs.dim1):
         raise InputError("functor blocks have wrong shapes")
-    return a0 * tvs.d == tvs.d * a1
+    return not _sum((1, _product(a0, tvs.d)), (-1, _product(tvs.d, a1)))[1]

@@ -383,8 +383,21 @@ def test_morphism_grid_passes_and_fails_every_law():
         report = check_hl_morphism(m)
         assert report == reference_check_hl_morphism(m)
         failed |= {item.law for item in report.failures()}
-    assert {"f2-skew", "f2-equivariance", "bracket-defect", "action-defect",
-            "jacobiator-defect"} <= failed
+    assert {"phi0-intertwined", "phi1-intertwined", "f2-skew", "f2-equivariance",
+            "bracket-defect", "action-defect", "jacobiator-defect"} <= failed
+
+
+def test_chain_map_fails_at_its_first_entry_in_row_major_order():
+    """Every base has d = 0, so the grid never breaks f0∘d = d'∘f1.  On
+    g -Id-> g, f1 changed at (2, 0) and at (1, 2) breaks it first at (1, 2)."""
+    m = identity_hl_morphism(identity_complex(sl2_example()))
+    rows = [list(row) for row in m.f1.data]
+    rows[2][0] += 1
+    rows[1][2] += F(1, 2)
+    m = dataclasses.replace(m, f1=Matrix(3, 3, rows))
+    report = check_hl_morphism(m)
+    assert report == reference_check_hl_morphism(m)
+    assert report.item("chain-map").witness == (1, 2)
 
 
 # -- check_hom_lie against the per-tuple reference ---------------------------------

@@ -165,15 +165,16 @@ CASES = {
     "representation": (check_representation, reference_check_representation,
                        representation_candidate, {"twist-compatibility", "bracket-action"}),
     "crossed_module": (check_crossed_module, reference_check_crossed_module, crossed_candidate,
-                       {"laws.equivariance", "laws.peiffer", "laws.derived-compatibility"}),
+                       {"laws.equivariance", "laws.peiffer", "laws.derived-compatibility",
+                        "dt.twist-intertwined"}),
     "left_symmetric": (left_symmetric_report, reference_check_left_symmetric,
                        product_candidate, {"phi-product", "left-symmetry"}),
     "leftsym_d": (leftsym_d_report, reference_leftsym_d_report, differential_candidate,
-                  {"d-star-shift", "d-derivation", "d-star-skew-pairing"}),
+                  {"d-phi-commute", "d-star-shift", "d-derivation", "d-star-skew-pairing"}),
     "quadratic": (check_quadratic, reference_check_quadratic, quadratic_candidate,
-                  {"invariance"}),
+                  {"symmetric", "invariance", "phi-symmetric", "isometry"}),
     "symplectic": (check_symplectic, reference_check_symplectic, symplectic_candidate,
-                   {"form.closed"}),
+                   {"form.skew", "form.phi-invariant", "form.closed"}),
 }
 
 
