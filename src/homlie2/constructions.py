@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import permutations
 
 from .cohomology import (Cochain, Representation, _is_exact, check_representation,
                          cochain_from_function, coboundary, dual_representation,
                          trivial_representation)
 from .errors import CheckFailure, InputError, PreconditionError
-from .exactlin import (Matrix, _ap, _form, _product, _sum, dok, from_dok, inverse, rank, rat,
-                       vneg, zero_vec)
+from .exactlin import (Matrix, Tensor, _ap, _form, _product, _sum, dok, inverse, rank, rat,
+                       sparse_vec, zero_vec)
 from .homlie import (HomLieAlgebra, HomLieMorphism, Tensor2, as_tensor2, check_hom_lie,
                      check_hom_lie_morphism, killing_form, twisted_algebra)
 from .hl2 import TwoTermHL, _skew3, check_two_term
@@ -114,16 +115,12 @@ def skeletal_from_quadratic(q: QuadraticHomLie) -> TwoTermHL:
 def _skeletal(g: HomLieAlgebra, f: Cochain) -> TwoTermHL:
     """The skeletal structure whose l3 is the verified closed 3-cochain f."""
     n = g.dim
-
-    def at(t):              # f(e_i, e_j, e_k): the sign of the sort times f on the sorted triple
-        if len(set(t)) < 3:
-            return zero_vec(f.module_dim)
-        odd = (t[0] > t[1]) + (t[0] > t[2]) + (t[1] > t[2])
-        return vneg(f.component(sorted(t))) if odd % 2 else f.component(sorted(t))
-
-    l3 = tuple(tuple(tuple(at((i, j, k)) for k in range(n)) for j in range(n)) for i in range(n))
-    out = TwoTermHL(n, 1, Matrix.zeros(n, 1), g.bracket, from_dok({}, (n, 1, 1)), l3,
-                    g.phi, Matrix.identity(1))
+    # f(e_s[p], e_s[q], e_s[r]) on an increasing s is the sign of (p, q, r) times f on s
+    l3 = {(s[p], s[q], s[r], a): -x if ((p > q) + (p > r) + (q > r)) % 2 else x
+          for s, c in zip(f.tuples(), f.comps) for a, x in sparse_vec(c)
+          for p, q, r in permutations(range(3))}
+    out = TwoTermHL(n, 1, Matrix.zeros(n, 1), g.bracket, Tensor.from_dok({}, (n, 1, 1)),
+                    Tensor.from_dok(l3, (n, n, n, f.module_dim)), g.phi, Matrix.identity(1))
     check_two_term(out).require("skeletal_from_quadratic output")
     return out
 
@@ -223,7 +220,7 @@ def strict_to_crossed(v: TwoTermHL) -> CrossedModule:
     check_two_term(v).require("strict_to_crossed input")
     n0, n1 = v.dim0, v.dim1
     g = HomLieAlgebra(n0, v.l2_00, v.phi0)
-    h_bracket = from_dok(_ap(dok(v.l2_01), _ap(dok(v.d), "a"), "b")[1], (n1,) * 3)
+    h_bracket = Tensor.from_dok(_ap(dok(v.l2_01), _ap(dok(v.d), "a"), "b")[1], (n1,) * 3)
     h = HomLieAlgebra(n1, h_bracket, v.phi1)
     action = tuple(Matrix.from_columns(row, rows=n1) for row in v.l2_01)
     cm = CrossedModule(h, g, v.d, action)
@@ -235,8 +232,8 @@ def crossed_to_strict(cm: CrossedModule) -> TwoTermHL:
     """V0 = g, V1 = h, d = dt, l2(x,m) = x.m, l3 = 0."""
     check_crossed_module(cm).require("crossed_to_strict input")
     n0, n1 = cm.g.dim, cm.h.dim
-    out = TwoTermHL(n0, n1, cm.dt, cm.g.bracket, from_dok(dok(cm.action), (n0, n1, n1)),
-                    from_dok({}, (n0, n0, n0, n1)), cm.g.phi, cm.h.phi)
+    out = TwoTermHL(n0, n1, cm.dt, cm.g.bracket, Tensor.from_dok(dok(cm.action), (n0, n1, n1)),
+                    Tensor.from_dok({}, (n0, n0, n0, n1)), cm.g.phi, cm.h.phi)
     check_two_term(out).require("crossed_to_strict output")
     return out
 
@@ -284,7 +281,7 @@ def check_left_symmetric(a: HomLeftSymmetric) -> tuple[CheckReport, LeftSymmetri
         return report, None
 
     s = ("ab", dok(a.star))
-    sub = HomLieAlgebra(n, from_dok(_sum((1, s), (-1, s, "ba"))[1], (n, n, n)), a.phi)
+    sub = HomLieAlgebra(n, Tensor.from_dok(_sum((1, s), (-1, s, "ba"))[1], (n, n, n)), a.phi)
     check_hom_lie(sub).require("sub-adjacent algebra")
     rho = tuple(Matrix.from_columns(row, rows=n) for row in a.star)
     rep = Representation(sub, n, a.phi, rho)
@@ -334,7 +331,7 @@ def strict_from_leftsym(a: HomLeftSymmetric, d: Matrix) -> TwoTermHL:
         failed = ", ".join(item.law for item in d_report.failures())
         raise PreconditionError(f"d is not compatible with the product: {failed}",
                                 report=d_report)
-    out = TwoTermHL(n, n, d, derived.sub_adjacent.bracket, a.star, from_dok({}, (n,) * 4),
+    out = TwoTermHL(n, n, d, derived.sub_adjacent.bracket, a.star, Tensor.from_dok({}, (n,) * 4),
                     a.phi, a.phi)
     check_two_term(out).require("strict_from_leftsym output")
     return out
@@ -402,8 +399,7 @@ def _solve_star(s: SymplecticHomLie) -> tuple[HomLeftSymmetric, LeftSymmetricDer
     r = _ap(_form(omega), _ap(dok(g.phi), "b"), _ap(dok(g.bracket), "a", "c"))[1]
     star = _ap(dok(inverse((omega * g.phi).transpose())),
                ("ab", {(i, j, z): -x for (i, j, z, _), x in r.items()}))[1]
-    a = HomLeftSymmetric(n, [[[star.get((i, j, k), 0) for k in range(n)] for j in range(n)]
-                             for i in range(n)], g.phi)
+    a = HomLeftSymmetric(n, Tensor.from_dok(star, (n, n, n)), g.phi)
     ls_report, derived = check_left_symmetric(a)
     if derived is None:
         raise CheckFailure("solved star product fails the left-symmetric laws",
@@ -428,7 +424,7 @@ def strict_from_symplectic(s: SymplecticHomLie) -> TwoTermHL:
     dual = _solve_star(s)[1].dual
     n = g.dim
     d = g.phi * inverse(s.sharp())
-    out = TwoTermHL(n, n, d, g.bracket, from_dok(dok(dual.rho), (n,) * 3),
-                    from_dok({}, (n,) * 4), g.phi, g.phi.transpose())
+    out = TwoTermHL(n, n, d, g.bracket, Tensor.from_dok(dok(dual.rho), (n,) * 3),
+                    Tensor.from_dok({}, (n,) * 4), g.phi, g.phi.transpose())
     check_two_term(out).require("strict_from_symplectic output")
     return out

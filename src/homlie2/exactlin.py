@@ -17,8 +17,9 @@ tensor (nested tuples of structure constants), a `Matrix` or a tuple of
 matrices as {(input indices..., output index): nonzero coefficient}, the
 coefficient an int where integral; a `Tensor` or a `Matrix` keeps its `dok`,
 read-only, from first use, and `from_dok` turns a dict back into nested
-tuples.  `_ap` substitutes expressions into a map's inputs one slot at a
-time and `_sum` adds signed terms with renamed slots: the residual tensors
+tuples, and `Tensor.from_dok` a dict into a Tensor that keeps it as `dok`.
+`_ap` substitutes expressions into a map's inputs one slot at a time and
+`_sum` adds signed terms with renamed slots: the residual tensors
 (lhs − rhs) of the laws and every construction's structure constants are
 built with them.  `_form` reads a Matrix as the bilinear form x^T M y, and
 `_product` a product A·B as an expression over it, so an equality of matrix
@@ -35,7 +36,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, neg
 from types import MappingProxyType
@@ -127,11 +128,27 @@ class Tensor(tuple):
     """Structure constants as nested tuples with coordinate vectors at the
     leaves (T[i][j] or T[i][j][k] is a Vec).  Equality, hash and repr are
     those of the plain tuple.  `dok` is its dict-of-keys form (see `dok`),
-    built on first use and read-only."""
+    read-only: kept from `from_dok`, else built on first use."""
 
     @cached_property
     def dok(self) -> MappingProxyType:
         return MappingProxyType(_dok(self))
+
+    @classmethod
+    def from_dok(cls, t: dict, shape) -> "Tensor":
+        """`from_dok(t, shape)` with Fraction leaves; t, as `_ints` gives it, is its `dok`."""
+        out = cls(from_dok({key: rat(x) for key, x in t.items()}, shape, F0))
+        out.__dict__["dok"] = MappingProxyType(_ints(t))
+        return out
+
+    def has_shape(self, shape) -> bool:
+        """Whether it nests exactly these dimensions; built uniform, one leaf shows its depth."""
+        layer = [(self,)]
+        for d in shape:
+            layer = [y for x in layer for y in x]
+            if not all(isinstance(x, tuple) and len(x) == d for x in layer):
+                return False
+        return not layer or not any(isinstance(x, tuple) for x in layer[0])
 
 
 def dok(t) -> dict:
@@ -154,15 +171,21 @@ def _dok(t) -> dict:
     return {(i, *key): c for i, sub in enumerate(t) for key, c in _dok(sub).items()}
 
 
-def from_dok(t, shape) -> tuple:
+def from_dok(t, shape, zero=0) -> tuple:
     """The nested tuples of the given shape (input dimensions..., output
-    dimension) holding t's coefficients, 0 where t has no key: the inverse
-    of `dok` on nested tuples."""
+    dimension) holding t's coefficients, `zero` where t has no key: the
+    inverse of `dok` on nested tuples.  The leaves no key ends in are one
+    shared tuple of zeros."""
+    *dims, out = shape
+    leaves: dict = defaultdict(dict)
+    for key, c in t.items():
+        leaves[key[:-1]][key[-1]] = c
+    empty, zeros = (zero,) * out, repeat(zero)
     def nest(prefix, dims):
-        if len(dims) == 1:
-            return tuple(t.get((*prefix, k), 0) for k in range(dims[0]))
+        if not dims:
+            return tuple(map(leaves[prefix].get, range(out), zeros)) if prefix in leaves else empty
         return tuple(nest((*prefix, i), dims[1:]) for i in range(dims[0]))
-    return nest((), tuple(shape))
+    return nest((), dims)
 
 
 # The residual tensors (lhs − rhs) of the laws are built from expressions:
@@ -350,11 +373,6 @@ class Matrix:
         return Matrix(self.cols, self.rows,
                       [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise InputError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), F0)
-
     # -- predicates ----------------------------------------------------------
 
     def shape(self) -> tuple[int, int]:
@@ -362,14 +380,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == (F1 if i == j else F0)
-            for i in range(self.rows) for j in range(self.cols))
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self == self.transpose()
 
     def _same_shape(self, other: "Matrix"):
         if self.shape() != other.shape():

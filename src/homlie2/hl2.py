@@ -53,6 +53,8 @@ Tensor3 = Tensor  # Tensor3[i][j][k] -> Vec
 
 
 def as_tensor3(data, n: int, out_dim: int, field: str) -> Tensor3:
+    if isinstance(data, Tensor) and data.has_shape((n, n, n, out_dim)):
+        return data
     try:
         t = Tensor(tuple(tuple(vec(data[i][j][k]) for k in range(n)) for j in range(n))
                    for i in range(n))
@@ -229,7 +231,7 @@ def compose_hl_morphisms(first: HLMorphism, second: HLMorphism) -> HLMorphism:
     f2 = _sum((1, _ap(dok(second.f2), f0("a"), f0("b"))),
               (1, _ap(dok(second.f1), ("ab", dok(first.f2)))))[1]
     return HLMorphism(first.source, second.target, second.f0 * first.f0, second.f1 * first.f1,
-                      from_dok(f2, (n0, n0, second.target.dim1)))
+                      Tensor.from_dok(f2, (n0, n0, second.target.dim1)))
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +280,7 @@ def functor_T(v: TwoTermHL) -> HomLie2Data:
           **{(n0 + a, i, n0 + k): -c for (i, a, k), c in M2.items()},
           **{(n0 + a, n0 + b, n0 + k): c
              for (a, b, k), c in _ap(M2, _ap(dok(v.d), "a"), "b")[1].items()}}
-    bracket_mor = from_dok(bm, (nm, nm, nm))
+    bracket_mor = Tensor.from_dok(bm, (nm, nm, nm))
     phi1_full = Matrix.from_columns(from_dok({**dok(v.phi0), **{
         (n0 + j, n0 + i): c for (j, i), c in dok(v.phi1).items()}}, (nm, nm)), rows=nm)
     return HomLie2Data(from_complex(v.d), v.l2_00, bracket_mor, v.phi0, phi1_full, v.l3)

@@ -27,7 +27,9 @@ Tensor2 = Tensor  # Tensor2[i][j] -> Vec
 
 
 def as_tensor2(data, n0: int, n1: int, out_dim: int, field: str) -> Tensor2:
-    """Coerce nested data to a (n0 x n1 -> out_dim) structure-constant tensor."""
+    """Coerce nested data to an (n0 x n1 -> out_dim) tensor; a Tensor of that shape is kept."""
+    if isinstance(data, Tensor) and data.has_shape((n0, n1, out_dim)):
+        return data
     try:
         t = Tensor(tuple(vec(data[i][j]) for j in range(n1)) for i in range(n0))
     except (IndexError, TypeError) as exc:
@@ -163,7 +165,7 @@ def twisted_algebra(g: HomLieAlgebra) -> HomLieAlgebra:
     if not g.is_involutive():
         raise PreconditionError("twisted_algebra requires an involutive twist (phi^2 = Id)")
     n = g.dim
-    new_bracket = from_dok(_ap(dok(g.phi), ("ab", dok(g.bracket)))[1], (n, n, n))
+    new_bracket = Tensor.from_dok(_ap(dok(g.phi), ("ab", dok(g.bracket)))[1], (n, n, n))
     out = HomLieAlgebra(n, new_bracket, Matrix.identity(n))
     check_hom_lie(out).require("twisted_algebra output")
     return out

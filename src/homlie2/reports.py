@@ -9,7 +9,8 @@ consume them programmatically; rendering to text or JSON lives here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import chain, repeat
+from math import prod
 
 from .errors import CheckFailure
 
@@ -112,10 +113,14 @@ class LawChecker:
         """Scan the basis tuples over `dims` in lexicographic order; one passes when
         no key of the residual lhs − rhs starts with it.  A key is the tuple, then
         the output index, with any slots the witness leaves out (such as a module
-        index) in between."""
-        k = len(dims)
-        failing = {key[:k] for key in residual}
-        return self.scan(law, ((t, t not in failing) for t in product(*map(range, dims))), note)
+        index) in between.  The pairs are counted, not built: the least failing tuple's
+        lexicographic rank is the number that pass before it."""
+        failing = {key[:len(dims)] for key in residual}
+        if not failing:
+            return self.scan(law, repeat(((), True), prod(dims)), note)
+        witness = min(failing)
+        rank = sum(i * prod(dims[p + 1:]) for p, i in enumerate(witness))
+        return self.scan(law, chain(repeat(((), True), rank), [(witness, False)]), note)
 
     def amend_note(self, note: str) -> None:
         """Replace the note of the item added last, e.g. to say where a scan broke."""

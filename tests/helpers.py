@@ -27,6 +27,22 @@ from homlie2.homlie import HomLieAlgebra, HomLieMorphism, abelian_algebra
 from homlie2.reports import CheckReport, LawChecker, merge_reports
 
 
+def is_identity(m: Matrix) -> bool:
+    """Dense test of m == Id, entry by entry."""
+    return m.rows == m.cols and all(m[i, j] == (i == j) for i in range(m.rows)
+                                    for j in range(m.cols))
+
+
+def is_symmetric(m: Matrix) -> bool:
+    return m.rows == m.cols and all(m[i, j] == m[j, i] for i in range(m.rows)
+                                    for j in range(m.cols))
+
+
+def trace(m: Matrix) -> Fraction:
+    assert m.rows == m.cols, "trace of a non-square matrix"
+    return sum((m[i, i] for i in range(m.rows)), F0)
+
+
 def rnd_frac(rng: random.Random, lo=-3, hi=3) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2)))
 
@@ -524,6 +540,13 @@ def reference_arrows(L: HomLie2Data) -> _Evaluating:
 def _scan(chk: LawChecker, law: str, ranges, ok, note: str = "") -> bool:
     """The per-tuple scan of `ok` over the product of `ranges`, in lexicographic order."""
     return chk.scan(law, ((t, ok(*t)) for t in product(*ranges)), note=note)
+
+
+def reference_scan_zero(chk: LawChecker, law: str, dims, residual, note: str = "") -> bool:
+    """The product walk `LawChecker.scan_zero` counts instead: every basis tuple
+    over `dims` in lexicographic order, looked up in the residual's failing set."""
+    failing = {key[:len(dims)] for key in residual}
+    return chk.scan(law, ((t, t not in failing) for t in product(*map(range, dims))), note)
 
 
 def _matrix_eq(chk: LawChecker, law: str, a: Matrix, b: Matrix, note: str = "") -> bool:
@@ -1032,7 +1055,7 @@ def reference_check_quadratic(q: QuadraticHomLie) -> CheckReport:
                -reference_pair(B, g.bracket[i][k], g.basis(j)))
               for i in range(n) for j in range(n) for k in range(n)))
     phi_sym = _matrix_eq(chk, "phi-symmetric", B * g.phi, g.phi.transpose() * B)
-    involutive = (g.phi * g.phi).is_identity()
+    involutive = is_identity(g.phi * g.phi)
     chk.add("involutive", involutive)
     isometry = _matrix_eq(chk, "isometry", g.phi.transpose() * B * g.phi, B)
     count = sum(1 for flag in (phi_sym, involutive, isometry) if flag)

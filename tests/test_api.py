@@ -47,6 +47,8 @@ def test_removed_names_are_gone():
         assert not hasattr(homlie2.cohomology, name), name
     assert not hasattr(homlie2.exactlin, "_transpose")
     assert not hasattr(Matrix, "power") and not hasattr(LawChecker, "add_matrix_eq")
+    for name in ("is_identity", "is_symmetric", "trace"):
+        assert not hasattr(Matrix, name), name
 
 
 def test_per_tuple_evaluators_of_the_old_law_scans_are_gone():

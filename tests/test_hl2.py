@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (identity_complex, random_invertible, reference_arrows, shift_strict,
-                     transport_two_term)
+from helpers import (identity_complex, is_identity, random_invertible, reference_arrows,
+                     shift_strict, transport_two_term)
 from homlie2.cohomology import (Representation, check_representation,
                                 coboundary, cochain_from_function)
 from homlie2.constructions import sl2_example, string_from_semisimple
@@ -99,7 +99,7 @@ def test_twist_endomorphism_passes_and_squares_to_identity():
     phi_endo = HLMorphism(v, v, v.phi0, Matrix.identity(1), zero_t2(3, 3, 1))
     assert check_hl_morphism(phi_endo).ok
     sq = compose_hl_morphisms(phi_endo, phi_endo)
-    assert sq.f0.is_identity() and sq.f1.is_identity()
+    assert is_identity(sq.f0) and is_identity(sq.f1)
     assert check_hl_morphism(sq).ok
 
 
