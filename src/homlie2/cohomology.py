@@ -41,7 +41,8 @@ from itertools import combinations
 
 from .errors import InputError, PreconditionError
 from .exactlin import (Matrix, Vec, _ap, _fraction_kernel, _in_span, _ints, _kernel, _rref, _sum,
-                       dok, from_dok, is_zero_vec, sparse_vec, vadd, vec, vscale, zero_vec)
+                       dok, from_dok, is_zero_vec, require_shape, sparse_vec, vadd, vec, vscale,
+                       zero_vec)
 from .homlie import HomLieAlgebra
 from .reports import CheckReport, LawChecker
 
@@ -58,13 +59,11 @@ class Representation:
     def __post_init__(self):
         m, n = self.module_dim, self.algebra.dim
         object.__setattr__(self, "rho", tuple(self.rho))
-        if self.A.shape() != (m, m):
-            raise InputError(f"module twist must be {m}x{m}, got {self.A.shape()}")
+        require_shape(self.A, (m, m), "A")
         if len(self.rho) != n:
             raise InputError(f"need one action matrix per basis element ({n}), got {len(self.rho)}")
         for i, r in enumerate(self.rho):
-            if r.shape() != (m, m):
-                raise InputError(f"rho[{i}] must be {m}x{m}, got {r.shape()}")
+            require_shape(r, (m, m), f"rho[{i}]")
 
 
 def check_representation(r: Representation) -> CheckReport:

@@ -23,10 +23,10 @@ from .cohomology import (Cochain, Representation, _is_exact, check_representatio
                          cochain_from_function, coboundary, dual_representation,
                          trivial_representation)
 from .errors import CheckFailure, InputError, PreconditionError
-from .exactlin import (Matrix, Tensor, _ap, _form, _product, _sum, dok, inverse, rank, rat,
-                       sparse_vec, zero_vec)
-from .homlie import (HomLieAlgebra, HomLieMorphism, Tensor2, as_tensor2, check_hom_lie,
-                     check_hom_lie_morphism, killing_form, twisted_algebra)
+from .exactlin import (Matrix, Tensor, _ap, _form, _product, _sum, as_tensor, dok, inverse, rank,
+                       rat, require_shape, sparse_vec, zero_vec)
+from .homlie import (HomLieAlgebra, HomLieMorphism, check_hom_lie, check_hom_lie_morphism,
+                     killing_form, twisted_algebra)
 from .hl2 import TwoTermHL, _skew3, check_two_term
 from .reports import CheckReport, LawChecker, merge_reports
 
@@ -43,9 +43,7 @@ class QuadraticHomLie:
     B: Matrix
 
     def __post_init__(self):
-        n = self.algebra.dim
-        if self.B.shape() != (n, n):
-            raise InputError(f"form must be {n}x{n}, got {self.B.shape()}")
+        require_shape(self.B, (self.algebra.dim,) * 2, "B")
 
 
 def check_quadratic(q: QuadraticHomLie) -> CheckReport:
@@ -178,14 +176,12 @@ class CrossedModule:
     action: tuple[Matrix, ...]  # one matrix per basis element of g
 
     def __post_init__(self):
-        if self.dt.shape() != (self.g.dim, self.h.dim):
-            raise InputError("dt has wrong shape")
+        require_shape(self.dt, (self.g.dim, self.h.dim), "dt")
         object.__setattr__(self, "action", tuple(self.action))
         if len(self.action) != self.g.dim:
             raise InputError("need one action matrix per basis element of g")
         for i, m in enumerate(self.action):
-            if m.shape() != (self.h.dim, self.h.dim):
-                raise InputError(f"action[{i}] has wrong shape")
+            require_shape(m, (self.h.dim,) * 2, f"action[{i}]")
 
     def representation(self) -> Representation:
         return Representation(self.g, self.h.dim, self.h.phi, self.action)
@@ -247,14 +243,13 @@ class HomLeftSymmetric:
     """A product x*y whose phi-twisted associator is symmetric in x and y."""
 
     dim: int
-    star: Tensor2
+    star: Tensor
     phi: Matrix
 
     def __post_init__(self):
         n = self.dim
-        object.__setattr__(self, "star", as_tensor2(self.star, n, n, n, "star"))
-        if self.phi.shape() != (n, n):
-            raise InputError("phi has wrong shape")
+        object.__setattr__(self, "star", as_tensor(self.star, (n, n, n), "star"))
+        require_shape(self.phi, (n, n), "phi")
 
 
 @dataclass(frozen=True)
@@ -296,8 +291,7 @@ def check_left_symmetric(a: HomLeftSymmetric) -> tuple[CheckReport, LeftSymmetri
 def leftsym_d_report(a: HomLeftSymmetric, d: Matrix) -> CheckReport:
     """Compatibility of a candidate differential with the product."""
     n = a.dim
-    if d.shape() != (n, n):
-        raise InputError("d has wrong shape")
+    require_shape(d, (n, n), "d")
     chk = LawChecker("leftsym_d")
     chk.scan_zero("d-phi-commute", (n, n), _sum(
         (1, _product(d, a.phi)), (-1, _product(a.phi, d)))[1])
@@ -349,9 +343,7 @@ class SymplecticHomLie:
     omega: Matrix
 
     def __post_init__(self):
-        n = self.algebra.dim
-        if self.omega.shape() != (n, n):
-            raise InputError("omega has wrong shape")
+        require_shape(self.omega, (self.algebra.dim,) * 2, "omega")
 
     def sharp(self) -> Matrix:
         """Matrix of x -> omega(x, .) in the dual basis."""

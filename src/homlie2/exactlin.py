@@ -27,8 +27,10 @@ products is a residual like any other law.
 Int–Fraction arithmetic is exact and ``3 == Fraction(3)`` with equal
 hashes, so every comparison gives the answer Fraction arithmetic would.
 Evaluated vectors may hold ints; stored structures stay all-Fraction,
-because `vec` and `Matrix` coerce them.  There is no floating point and no
-rounding anywhere.
+because `Matrix` and `as_tensor` coerce them.  Every record checks its
+fields here: `as_tensor` a tensor's exact length at every level, so
+over-long data is refused, and `require_shape` a Matrix's shape.  There is
+no floating point and no rounding anywhere.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, itemgetter, neg
 from types import MappingProxyType
 from typing import Iterable, Sequence
@@ -141,14 +143,51 @@ class Tensor(tuple):
         out.__dict__["dok"] = MappingProxyType(_ints(t))
         return out
 
-    def has_shape(self, shape) -> bool:
-        """Whether it nests exactly these dimensions; built uniform, one leaf shows its depth."""
-        layer = [(self,)]
-        for d in shape:
+
+def as_tensor(data, shape, field: str) -> Tensor:
+    """Nested lists or tuples of exactly `shape` (input dimensions..., output
+    dimension) as a stored Tensor of `rat` entries.  A Tensor is built uniform,
+    so one path shows its shape; one of this shape is kept, with its `dok`.
+    Other data is walked level by level; an index path is built only to raise."""
+    if isinstance(data, Tensor) and _fits(data, shape):
+        return data
+    layer, seq = [data], (list, tuple)
+    for level, d in enumerate(shape):
+        if level:
             layer = [y for x in layer for y in x]
-            if not all(isinstance(x, tuple) and len(x) == d for x in layer):
-                return False
-        return not layer or not any(isinstance(x, tuple) for x in layer[0])
+        for x in layer:
+            if not isinstance(x, seq) or len(x) != d:
+                where = field + _path(next(k for k, y in enumerate(layer) if y is x), shape[:level])
+                got = len(x) if isinstance(x, seq) else type(x).__name__
+                raise InputError(f"{where}: expected length {d}, got {got}")
+    layer = [tuple(map(rat, x)) for x in layer]
+    for level in reversed(range(len(shape) - 1)):
+        d = shape[level]
+        layer = list(zip(*[iter(layer)] * d)) if d else [()] * prod(shape[:level])
+    return Tensor(layer[0])
+
+
+def _fits(t, shape) -> bool:
+    """Whether the first path through t has these lengths and ends in a Fraction."""
+    for d in shape:
+        if not isinstance(t, tuple) or len(t) != d:
+            return False
+        if not d:
+            return True
+        t = t[0]
+    return t.__class__ is Fraction
+
+
+def _path(k: int, dims) -> str:
+    """The index path, "[i][j]...", of entry k of a row-major walk over dims."""
+    return _path(k // dims[-1], dims[:-1]) + f"[{k % dims[-1]}]" if dims else ""
+
+
+def require_shape(m, shape, field: str) -> None:
+    """Raise InputError unless m is a Matrix of this (rows, cols) shape."""
+    if not isinstance(m, Matrix) or (m.rows, m.cols) != shape:
+        got = f"{m.rows}x{m.cols}" if isinstance(m, Matrix) else type(m).__name__
+        raise InputError(f"{field}: expected a {shape[0]}x{shape[1]} Matrix, got {got}")
 
 
 def dok(t) -> dict:

@@ -44,31 +44,13 @@ from functools import cache, partial
 from itertools import combinations, product
 
 from .errors import InputError
-from .exactlin import Matrix, Tensor, Vec, _ap, _product, _sum, dok, from_dok, vec, zero_vec
-from .homlie import Tensor2, as_tensor2
+from .exactlin import (Matrix, Tensor, Vec, _ap, _product, _sum, as_tensor, dok, from_dok,
+                       require_shape, zero_vec)
 from .reports import CheckReport, LawChecker
 from .twovect import TwoVectorSpace, from_complex
 
-Tensor3 = Tensor  # Tensor3[i][j][k] -> Vec
 
-
-def as_tensor3(data, n: int, out_dim: int, field: str) -> Tensor3:
-    if isinstance(data, Tensor) and data.has_shape((n, n, n, out_dim)):
-        return data
-    try:
-        t = Tensor(tuple(tuple(vec(data[i][j][k]) for k in range(n)) for j in range(n))
-                   for i in range(n))
-    except (IndexError, TypeError) as exc:
-        raise InputError(f"{field}: expected a {n}^3 tensor of {out_dim}-vectors ({exc})")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len(t[i][j][k]) != out_dim:
-                    raise InputError(f"{field}[{i}][{j}][{k}] has wrong length")
-    return t
-
-
-def trilinear_eval(tensor: Tensor3, x: Vec, y: Vec, z: Vec, out_dim: int) -> Vec:
+def trilinear_eval(tensor: Tensor, x: Vec, y: Vec, z: Vec, out_dim: int) -> Vec:
     """A trilinear tensor at coordinate vectors, one `_ap` over `dok`; ints
     where integral.  Kept only as a tracer target of the benchmark: the
     package evaluates with `_ap`."""
@@ -81,23 +63,20 @@ class TwoTermHL:
     dim0: int
     dim1: int
     d: Matrix
-    l2_00: Tensor2
-    l2_01: Tensor2
-    l3: Tensor3
+    l2_00: Tensor
+    l2_01: Tensor
+    l3: Tensor
     phi0: Matrix
     phi1: Matrix
 
     def __post_init__(self):
         n0, n1 = self.dim0, self.dim1
-        if self.d.shape() != (n0, n1):
-            raise InputError(f"d must be {n0}x{n1}, got {self.d.shape()}")
-        object.__setattr__(self, "l2_00", as_tensor2(self.l2_00, n0, n0, n0, "l2_00"))
-        object.__setattr__(self, "l2_01", as_tensor2(self.l2_01, n0, n1, n1, "l2_01"))
-        object.__setattr__(self, "l3", as_tensor3(self.l3, n0, n1, "l3"))
-        if self.phi0.shape() != (n0, n0):
-            raise InputError("phi0 has wrong shape")
-        if self.phi1.shape() != (n1, n1):
-            raise InputError("phi1 has wrong shape")
+        require_shape(self.d, (n0, n1), "d")
+        object.__setattr__(self, "l2_00", as_tensor(self.l2_00, (n0, n0, n0), "l2_00"))
+        object.__setattr__(self, "l2_01", as_tensor(self.l2_01, (n0, n1, n1), "l2_01"))
+        object.__setattr__(self, "l3", as_tensor(self.l3, (n0, n0, n0, n1), "l3"))
+        require_shape(self.phi0, (n0, n0), "phi0")
+        require_shape(self.phi1, (n1, n1), "phi1")
 
     def is_skeletal(self) -> bool:
         return self.d.is_zero()
@@ -175,15 +154,13 @@ class HLMorphism:
     target: TwoTermHL
     f0: Matrix
     f1: Matrix
-    f2: Tensor2  # V0 x V0 -> target V1
+    f2: Tensor  # V0 x V0 -> target V1
 
     def __post_init__(self):
-        if self.f0.shape() != (self.target.dim0, self.source.dim0):
-            raise InputError("f0 has wrong shape")
-        if self.f1.shape() != (self.target.dim1, self.source.dim1):
-            raise InputError("f1 has wrong shape")
-        object.__setattr__(self, "f2", as_tensor2(
-            self.f2, self.source.dim0, self.source.dim0, self.target.dim1, "f2"))
+        n0 = self.source.dim0
+        require_shape(self.f0, (self.target.dim0, n0), "f0")
+        require_shape(self.f1, (self.target.dim1, self.source.dim1), "f1")
+        object.__setattr__(self, "f2", as_tensor(self.f2, (n0, n0, self.target.dim1), "f2"))
 
 
 def identity_hl_morphism(v: TwoTermHL) -> HLMorphism:
@@ -248,22 +225,20 @@ class HomLie2Data:
     """
 
     tvs: TwoVectorSpace
-    bracket_obj: Tensor2
-    bracket_mor: Tensor2
+    bracket_obj: Tensor
+    bracket_mor: Tensor
     Phi0: Matrix
     Phi1: Matrix
-    jac: Tensor3
+    jac: Tensor
 
     def __post_init__(self):
         n0, n1 = self.tvs.dim0, self.tvs.dim1
         nm = n0 + n1
-        object.__setattr__(self, "bracket_obj",
-                           as_tensor2(self.bracket_obj, n0, n0, n0, "bracket_obj"))
-        object.__setattr__(self, "bracket_mor",
-                           as_tensor2(self.bracket_mor, nm, nm, nm, "bracket_mor"))
-        object.__setattr__(self, "jac", as_tensor3(self.jac, n0, n1, "jac"))
-        if self.Phi0.shape() != (n0, n0) or self.Phi1.shape() != (nm, nm):
-            raise InputError("twist functor blocks have wrong shapes")
+        for name, shape in (("bracket_obj", (n0,) * 3), ("bracket_mor", (nm,) * 3),
+                            ("jac", (n0, n0, n0, n1))):
+            object.__setattr__(self, name, as_tensor(getattr(self, name), shape, name))
+        require_shape(self.Phi0, (n0, n0), "Phi0")
+        require_shape(self.Phi1, (nm, nm), "Phi1")
 
 
 def functor_T(v: TwoTermHL) -> HomLie2Data:
@@ -294,17 +269,17 @@ def functor_S(L: HomLie2Data) -> TwoTermHL:
     """
     tvs = L.tvs
     n0, n1 = tvs.dim0, tvs.dim1
-    # [i(e_i), e_a] in arrow coordinates is the stored entry bracket_mor[i][n0 + a]
-    mixed = [[L.bracket_mor[i][n0 + a] for a in range(n1)] for i in range(n0)]
-    if any(any(mu[:n0]) for row in mixed for mu in row):
+    # [i(e_i), e_a] in arrow coordinates is bracket_mor at the keys (i, n0 + a, k)
+    mixed = {key: c for key, c in dok(L.bracket_mor).items() if key[0] < n0 <= key[1]}
+    if any(k < n0 for _, _, k in mixed):
         raise InputError("bracket does not preserve Ker(s); cannot extract l2(x,m)")
-    l2_01 = tuple(tuple(mu[n0:] for mu in row) for row in mixed)
-    # Phi1 must respect the arrow structure for the restriction to make sense.
-    for i in range(n0):
-        for a in range(n1):
-            if L.Phi1[i, n0 + a] != 0:
-                raise InputError("twist functor does not preserve Ker(s)")
-    phi1 = Matrix(n1, n1, [[L.Phi1[n0 + a, n0 + b] for b in range(n1)] for a in range(n1)])
+    l2_01 = Tensor.from_dok({(i, a - n0, k - n0): c for (i, a, k), c in mixed.items()},
+                            (n0, n1, n1))
+    PM = dok(L.Phi1)            # keyed (column, row); Phi1 must preserve Ker(s) to restrict
+    if any(i < n0 <= j for j, i in PM):
+        raise InputError("twist functor does not preserve Ker(s)")
+    phi1 = Matrix.from_columns(from_dok({(j - n0, i - n0): c for (j, i), c in PM.items()
+                                         if j >= n0}, (n1, n1)), rows=n1)
     out = TwoTermHL(n0, n1, tvs.d, L.bracket_obj, l2_01, L.jac, L.Phi0, phi1)
     check_two_term(out).require("functor_S output")
     return out

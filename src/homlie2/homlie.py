@@ -19,29 +19,11 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import InputError, PreconditionError
-from .exactlin import (Matrix, Tensor, Vec, _ap, _product, _sum, dok, from_dok, is_zero_vec,
-                       unit_vec, vec, zero_vec)
+from .exactlin import (Matrix, Tensor, Vec, _ap, _product, _sum, as_tensor, dok, from_dok,
+                       is_zero_vec, require_shape, unit_vec, zero_vec)
 from .reports import CheckReport, LawChecker
 
-Tensor2 = Tensor  # Tensor2[i][j] -> Vec
-
-
-def as_tensor2(data, n0: int, n1: int, out_dim: int, field: str) -> Tensor2:
-    """Coerce nested data to an (n0 x n1 -> out_dim) tensor; a Tensor of that shape is kept."""
-    if isinstance(data, Tensor) and data.has_shape((n0, n1, out_dim)):
-        return data
-    try:
-        t = Tensor(tuple(vec(data[i][j]) for j in range(n1)) for i in range(n0))
-    except (IndexError, TypeError) as exc:
-        raise InputError(f"{field}: expected a {n0}x{n1} tensor of {out_dim}-vectors ({exc})")
-    for i in range(n0):
-        for j in range(n1):
-            if len(t[i][j]) != out_dim:
-                raise InputError(f"{field}[{i}][{j}] has length {len(t[i][j])}, expected {out_dim}")
-    return t
-
-
-def bilinear_eval(tensor: Tensor2, x: Vec, y: Vec, out_dim: int) -> Vec:
+def bilinear_eval(tensor: Tensor, x: Vec, y: Vec, out_dim: int) -> Vec:
     """A structure-constant tensor at coordinate vectors, one `_ap` over `dok`;
     ints where integral.  Kept only as a tracer target of the benchmark: the
     package evaluates with `_ap`."""
@@ -54,14 +36,13 @@ class HomLieAlgebra:
     """dim, structure constants bracket[i][j] = [e_i,e_j], and the twist phi."""
 
     dim: int
-    bracket: Tensor2
+    bracket: Tensor
     phi: Matrix
 
     def __post_init__(self):
         n = self.dim
-        object.__setattr__(self, "bracket", as_tensor2(self.bracket, n, n, n, "bracket"))
-        if self.phi.shape() != (n, n):
-            raise InputError(f"phi must be {n}x{n}, got {self.phi.shape()}")
+        object.__setattr__(self, "bracket", as_tensor(self.bracket, (n, n, n), "bracket"))
+        require_shape(self.phi, (n, n), "phi")
 
     def basis(self, i: int) -> Vec:
         return unit_vec(self.dim, i)
@@ -123,9 +104,7 @@ class HomLieMorphism:
     f: Matrix
 
     def __post_init__(self):
-        if self.f.shape() != (self.target.dim, self.source.dim):
-            raise InputError(
-                f"morphism matrix must be {self.target.dim}x{self.source.dim}, got {self.f.shape()}")
+        require_shape(self.f, (self.target.dim, self.source.dim), "f")
 
 
 def check_hom_lie_morphism(m: HomLieMorphism) -> CheckReport:

@@ -84,26 +84,16 @@ def _list(x, length, path) -> list:
     return x
 
 
-def _vector(x, length, path):
-    return tuple(_rational(e, f"{path}[{i}]") for i, e in enumerate(_list(x, length, path)))
+def _nested(x, shape, path) -> tuple:
+    """Nested lists of exactly `shape`, rationals innermost, as nested tuples."""
+    xs, rest = _list(x, shape[0], path), shape[1:]
+    if not rest:
+        return tuple(_rational(e, f"{path}[{i}]") for i, e in enumerate(xs))
+    return tuple(_nested(e, rest, f"{path}[{i}]") for i, e in enumerate(xs))
 
 
 def _matrix(x, rows, cols, path) -> Matrix:
-    data = [_vector(row, cols, f"{path}[{i}]") for i, row in enumerate(_list(x, rows, path))]
-    return Matrix(rows, cols, data)
-
-
-def _tensor2(x, n0, n1, out, path):
-    rows = _list(x, n0, path)
-    return tuple(tuple(_vector(e, out, f"{path}[{i}][{j}]")
-                       for j, e in enumerate(_list(row, n1, f"{path}[{i}]")))
-                 for i, row in enumerate(rows))
-
-
-def _tensor3(x, n, out, path):
-    # n x n x n tensor of out-vectors (four nesting levels)
-    return tuple(_tensor2(layer, n, n, out, f"{path}[{i}]")
-                 for i, layer in enumerate(_list(x, n, path)))
+    return Matrix(rows, cols, _nested(x, (rows, cols), path))
 
 
 def _object(x, path) -> dict:
@@ -126,7 +116,7 @@ def _parse_hom_lie(obj: dict, path: str) -> HomLieAlgebra:
     if obj["kind"] != "hom_lie":
         raise ModelError(f"{path}.kind: expected 'hom_lie'")
     n = _nat(obj, "dim", path)
-    return HomLieAlgebra(n, _tensor2(obj["bracket"], n, n, n, f"{path}.bracket"),
+    return HomLieAlgebra(n, _nested(obj["bracket"], (n, n, n), f"{path}.bracket"),
                          _matrix(obj["phi"], n, n, f"{path}.phi"))
 
 
@@ -135,10 +125,10 @@ def _parse_two_term(obj: dict, path: str) -> TwoTermHL:
     if obj["kind"] != "two_term_hl":
         raise ModelError(f"{path}.kind: expected 'two_term_hl'")
     n0, n1 = _nat(obj, "dim0", path), _nat(obj, "dim1", path)
-    l3 = _tensor3(obj["l3"], n0, n1, f"{path}.l3")
+    l3 = _nested(obj["l3"], (n0, n0, n0, n1), f"{path}.l3")
     return TwoTermHL(n0, n1, _matrix(obj["d"], n0, n1, f"{path}.d"),
-                     _tensor2(obj["l2_00"], n0, n0, n0, f"{path}.l2_00"),
-                     _tensor2(obj["l2_01"], n0, n1, n1, f"{path}.l2_01"),
+                     _nested(obj["l2_00"], (n0, n0, n0), f"{path}.l2_00"),
+                     _nested(obj["l2_01"], (n0, n1, n1), f"{path}.l2_01"),
                      l3,
                      _matrix(obj["phi0"], n0, n0, f"{path}.phi0"),
                      _matrix(obj["phi1"], n1, n1, f"{path}.phi1"))
@@ -191,7 +181,7 @@ def parse_model(text: str):
     if kind == "left_symmetric":
         _keys(obj, ("kind", "dim", "star", "phi"), ("d",), "$")
         n = _nat(obj, "dim", "$")
-        product = HomLeftSymmetric(n, _tensor2(obj["star"], n, n, n, "$.star"),
+        product = HomLeftSymmetric(n, _nested(obj["star"], (n, n, n), "$.star"),
                                    _matrix(obj["phi"], n, n, "$.phi"))
         d = _matrix(obj["d"], n, n, "$.d") if "d" in obj else None
         return LeftSymmetricFile(product, d)
@@ -205,7 +195,7 @@ def parse_model(text: str):
     _keys(obj, ("kind", "source", "target", "f0", "f1", "f2"), (), "$")
     src = _parse_two_term(_object(obj["source"], "$.source"), "$.source")
     tgt = _parse_two_term(_object(obj["target"], "$.target"), "$.target")
-    f2 = _tensor2(obj["f2"], src.dim0, src.dim0, tgt.dim1, "$.f2")
+    f2 = _nested(obj["f2"], (src.dim0, src.dim0, tgt.dim1), "$.f2")
     return HLMorphism(src, tgt,
                       _matrix(obj["f0"], tgt.dim0, src.dim0, "$.f0"),
                       _matrix(obj["f1"], tgt.dim1, src.dim1, "$.f1"), f2)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .exactlin import Matrix, Vec, _ap, _product, _sum, dok, from_dok, vadd
+from .exactlin import Matrix, Vec, _ap, _product, _sum, dok, from_dok, require_shape, vadd
 
 Morphism = tuple  # (Vec over V0, Vec over V1)
 
@@ -27,8 +27,7 @@ class TwoVectorSpace:
     d: Matrix
 
     def __post_init__(self):
-        if self.d.shape() != (self.dim0, self.dim1):
-            raise InputError(f"d must be {self.dim0}x{self.dim1}, got {self.d.shape()}")
+        require_shape(self.d, (self.dim0, self.dim1), "d")
 
     def source(self, mor: Morphism) -> Vec:
         return mor[0]
@@ -59,6 +58,6 @@ def from_complex(d: Matrix) -> TwoVectorSpace:
 def check_linear_functor(pair: tuple[Matrix, Matrix], tvs: TwoVectorSpace) -> bool:
     """(A0, A1) is a linear endofunctor iff A0∘d = d∘A1 (exactly)."""
     a0, a1 = pair
-    if a0.shape() != (tvs.dim0, tvs.dim0) or a1.shape() != (tvs.dim1, tvs.dim1):
-        raise InputError("functor blocks have wrong shapes")
+    require_shape(a0, (tvs.dim0,) * 2, "A0")
+    require_shape(a1, (tvs.dim1,) * 2, "A1")
     return not _sum((1, _product(a0, tvs.d)), (-1, _product(tvs.d, a1)))[1]

@@ -49,6 +49,10 @@ def test_removed_names_are_gone():
     assert not hasattr(Matrix, "power") and not hasattr(LawChecker, "add_matrix_eq")
     for name in ("is_identity", "is_symmetric", "trace"):
         assert not hasattr(Matrix, name), name
+    for module, name in ((homlie2.homlie, "as_tensor2"), (homlie2.hl2, "as_tensor3"),
+                         (homlie2.homlie, "Tensor2"), (homlie2.hl2, "Tensor3")):
+        assert not hasattr(module, name), name
+    assert not hasattr(Tensor, "has_shape")
 
 
 def test_per_tuple_evaluators_of_the_old_law_scans_are_gone():

@@ -191,8 +191,26 @@ def test_S_rejects_bracket_leaving_kernel():
     bm[0][2][0] = F(1)  # [i(e0), m0] picks up an object part
     from homlie2.hl2 import HomLie2Data
     bad = HomLie2Data(L.tvs, L.bracket_obj, bm, L.Phi0, L.Phi1, L.jac)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="bracket does not preserve Ker"):
         functor_S(bad)
+
+
+def test_S_reads_only_the_kernel_block_of_the_twist():
+    """A Phi1 entry from Ker(s) into the objects is refused; one from the
+    objects into Ker(s) lies outside the block S restricts to, and is ignored."""
+    from homlie2.hl2 import HomLie2Data
+    v = abelian_two_term()
+    L = functor_T(v)
+    n0, nm = v.dim0, v.dim0 + v.dim1
+    for (row, col), refused in (((0, n0), True), ((n0, 0), False)):
+        data = [list(r) for r in L.Phi1.data]
+        data[row][col] += 1
+        bad = HomLie2Data(L.tvs, L.bracket_obj, L.bracket_mor, L.Phi0, Matrix(nm, nm, data), L.jac)
+        if refused:
+            with pytest.raises(InputError, match="twist functor does not preserve Ker"):
+                functor_S(bad)
+        else:
+            assert functor_S(bad) == v
 
 
 def test_skeletal_l3_is_closed_for_its_action():

@@ -1,10 +1,10 @@
 """Records keep the tensors they are given, and `scan_zero` counts its cases.
 
-`Tensor.from_dok(t, shape)` must store what `as_tensor2`/`as_tensor3` store
-for `from_dok(t, shape)`, with t, normalised as `dok` normalises, as its
-kept `dok`.  A record handed a Tensor of its shape keeps that object and its
-`dok`; one of another shape raises the InputError, or is truncated, as
-nested tuples are.  Only the coercions build a Tensor in src/homlie2.
+`Tensor.from_dok(t, shape)` must store what `as_tensor` stores for
+`from_dok(t, shape)`, with t, normalised as `dok` normalises, as its kept
+`dok`.  A record handed a Tensor of its shape keeps that object and its
+`dok`; one of another shape raises the InputError nested tuples raise.
+Only the coercion and `Tensor.from_dok` build a Tensor in src/homlie2.
 `LawChecker.scan_zero` must give the verdict, the witness and the number of
 consumed (witness, ok) pairs of the product walk it replaced
 (`helpers.reference_scan_zero`).
@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 from helpers import reference_scan_zero, shift_strict, sl2_sum
 from homlie2.constructions import HomLeftSymmetric, string_from_semisimple
 from homlie2.errors import InputError
-from homlie2.exactlin import Matrix, Tensor, _dok, from_dok
-from homlie2.hl2 import HLMorphism, HomLie2Data, TwoTermHL, as_tensor3, functor_S, functor_T
-from homlie2.homlie import HomLieAlgebra, as_tensor2
+from homlie2.exactlin import Matrix, Tensor, _dok, as_tensor, from_dok
+from homlie2.hl2 import HLMorphism, HomLie2Data, TwoTermHL, functor_S, functor_T
+from homlie2.homlie import HomLieAlgebra
 from homlie2.reports import LawChecker
 from homlie2.twovect import from_complex
 
@@ -54,8 +54,7 @@ def test_tensor_from_dok_stores_what_the_coercion_of_from_dok_stores(seed, n0, n
     shape = (n0, n0, n0, out) if three else (n0, n1, out)
     m = random_map(rng, shape, density=rng.choice((0, 0.3, 1)))
     t = Tensor.from_dok(m, shape)
-    want = (as_tensor3(from_dok(m, shape), n0, out, "t") if three
-            else as_tensor2(from_dok(m, shape), n0, n1, out, "t"))
+    want = as_tensor(from_dok(m, shape), shape, "t")
     assert type(t) is Tensor and repr(t) == repr(want)
     assert typed(t.dok) == typed(_dok(want)) == typed(_dok(t))
     assert all(type(x) is Fraction for x in _leaf_entries(t, len(shape) - 2))
@@ -117,32 +116,26 @@ WRONG = [  # (stored shape, the shape a field asks for)
     ((2, 1, 2), (2, 2, 2)), ((2, 2, 2, 2), (2, 2, 2)), ((3, 3, 3), (2, 2, 2)),
     ((2, 2, 2), (2, 2, 2, 1)), ((2, 2, 1, 1), (2, 2, 2, 1)), ((2, 2, 2, 2), (2, 2, 2, 1)),
     ((0, 2, 2), (2, 2, 2)), ((2, 2, 2, 1, 1), (2, 2, 2, 1)),
+    ((3, 3, 2), (2, 2, 2)), ((2, 3, 2), (2, 2, 2)),
 ]
-
-
-def _coerce(data, want):
-    if len(want) == 3:
-        return as_tensor2(data, *want, "f")
-    return as_tensor3(data, want[0], want[-1], "f")
 
 
 def _outcome(data, want):
     try:
-        return repr(_coerce(data, want))
+        return repr(as_tensor(data, want, "f"))
     except InputError as exc:
         return f"InputError: {exc}"
 
 
 @pytest.mark.parametrize("have, want", WRONG)
 def test_a_tensor_of_another_shape_is_coerced_as_nested_tuples_are(have, want):
-    """The old InputError, or the old truncation of a larger tensor, exactly."""
+    """The InputError of the nested tuples, exactly; a larger tensor is refused, not truncated."""
     t = _tensor(random.Random(len(have)), have)
     plain = from_dok({key: F(c) for key, c in t.dok.items()}, have, F(0))  # nested tuples
     assert plain == t and type(plain) is tuple
     assert _outcome(t, want) == _outcome(plain, want)
-    if not _outcome(t, want).startswith("InputError"):
-        assert _coerce(t, want) is not t
-    elif len(want) == 3:
+    assert _outcome(t, want).startswith("InputError")
+    if len(want) == 3:
         with pytest.raises(InputError):
             HomLieAlgebra(2, t, Matrix.identity(2))
     else:
@@ -180,7 +173,7 @@ def _tensor_builders():
 
 
 def test_only_the_coercions_build_a_tensor():
-    assert set(_tensor_builders()) == {("homlie.py", "as_tensor2"), ("hl2.py", "as_tensor3"),
+    assert set(_tensor_builders()) == {("exactlin.py", "as_tensor"),
                                        ("exactlin.py", "Tensor.from_dok")}
 
 

@@ -24,10 +24,10 @@ from homlie2.cohomology import Representation, dual_representation
 from homlie2.constructions import (l3_from_B, quadratic, sl2_example, strict_to_crossed,
                                    string_from_semisimple)
 from homlie2.homlie import abelian_algebra, killing_form
-from homlie2.exactlin import F0, F1, Matrix, Tensor, dok, from_dok, rat, sparse_vec
-from homlie2.hl2 import (HLMorphism, TwoTermHL, as_tensor3, compose_hl_morphisms,
+from homlie2.exactlin import F0, F1, Matrix, Tensor, as_tensor, dok, from_dok, rat, sparse_vec
+from homlie2.hl2 import (HLMorphism, TwoTermHL, compose_hl_morphisms,
                          functor_S, functor_T, identity_hl_morphism, trilinear_eval)
-from homlie2.homlie import as_tensor2, bilinear_eval
+from homlie2.homlie import bilinear_eval
 
 F = Fraction
 
@@ -64,7 +64,7 @@ def assert_exact(got, want):
 @settings(max_examples=150, deadline=None)
 def test_bilinear_matches_reference(data, n0, n1, out):
     x, y = data.draw(vectors(n0)), data.draw(vectors(n1))
-    t = as_tensor2(nested(data.draw, (n0, n1, out)), n0, n1, out, "t")
+    t = as_tensor(nested(data.draw, (n0, n1, out)), (n0, n1, out), "t")
     want = reference_bilinear_eval(t, x, y, out)
     assert_exact(bilinear_eval(t, x, y, out), want)
     # a plain nested tuple is evaluated too, without a kept dok
@@ -75,7 +75,7 @@ def test_bilinear_matches_reference(data, n0, n1, out):
 @settings(max_examples=150, deadline=None)
 def test_trilinear_matches_reference(data, n, out):
     x, y, z = (data.draw(vectors(n)) for _ in range(3))
-    t = as_tensor3(nested(data.draw, (n, n, n, out)), n, out, "t")
+    t = as_tensor(nested(data.draw, (n, n, n, out)), (n, n, n, out), "t")
     assert_exact(trilinear_eval(t, x, y, z, out), reference_trilinear_eval(t, x, y, z, out))
 
 
