@@ -10,14 +10,16 @@ Subcommands:
   builtin sl2 --out F        write the built-in sl(2) example
 
 Exit codes: 0 all checks passed, 1 some axiom or precondition failed (a
-report is still printed), 2 malformed input or usage.  --json switches the
-report from a table to a machine-readable document.
+report is still printed), 2 malformed input or usage, 141 (128 + SIGPIPE)
+stdout closed by its reader, as by `| head`.  --json switches the report
+from a table to a machine-readable document.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cohomology import (Representation, check_representation, cohomology_dims,
@@ -217,7 +219,13 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other exits
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; point stdout at devnull so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ModelError, InputError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -40,9 +40,8 @@ from functools import lru_cache, partial
 from itertools import combinations
 
 from .errors import InputError, PreconditionError
-from .exactlin import (Matrix, Vec, _ap, _fraction_kernel, _in_span, _ints, _kernel, _rref, _sum,
-                       dok, from_dok, is_zero_vec, require_shape, sparse_vec, vadd, vec, vscale,
-                       zero_vec)
+from .exactlin import (Matrix, Tensor, Vec, _ap, _fraction_kernel, _in_span, _ints, _kernel,
+                       _rref, _sum, as_tensor, dok, from_dok, rat, require_shape, sparse_vec, vec)
 from .homlie import HomLieAlgebra
 from .reports import CheckReport, LawChecker
 
@@ -112,22 +111,18 @@ class Cochain:
     """Skew k-linear map g^k -> module, stored on increasing basis tuples.
 
     comps[r] is the module value on the r-th k-combination of basis indices
-    in lexicographic order; other index tuples follow by skewness.
+    in lexicographic order; other index tuples follow by skewness.  `as_tensor`
+    makes comps a Tensor of Fractions; `+`, `-` and `scale` run on its `dok`.
     """
 
     degree: int
     alg_dim: int
     module_dim: int
-    comps: tuple[Vec, ...]
+    comps: Tensor
 
     def __post_init__(self):
-        expected = len(_tuple_index(self.alg_dim, self.degree))
-        object.__setattr__(self, "comps", tuple(tuple(x for x in c) for c in self.comps))
-        if len(self.comps) != expected:
-            raise InputError(f"cochain needs {expected} components, got {len(self.comps)}")
-        for c in self.comps:
-            if len(c) != self.module_dim:
-                raise InputError("cochain component has wrong module dimension")
+        shape = (len(_tuple_index(self.alg_dim, self.degree)), self.module_dim)
+        object.__setattr__(self, "comps", as_tensor(self.comps, shape, "comps"))
 
     def tuples(self):
         return iter(_tuple_index(self.alg_dim, self.degree))
@@ -155,27 +150,24 @@ class Cochain:
         return tuple(x for c in self.comps for x in c)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(c) for c in self.comps)
+        return not self.comps.dok
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        self._compatible(other)
-        return Cochain(self.degree, self.alg_dim, self.module_dim,
-                       tuple(vadd(a, b) for a, b in zip(self.comps, other.comps)))
+        return self._from_dok(_sum((1, ("r", self.comps.dok)), (1, ("r", other.comps.dok))), other)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        self._compatible(other)
-        return Cochain(self.degree, self.alg_dim, self.module_dim,
-                       tuple(tuple(x - y for x, y in zip(a, b))
-                             for a, b in zip(self.comps, other.comps)))
+        return self._from_dok(_sum((1, ("r", self.comps.dok)), (-1, ("r", other.comps.dok))), other)
 
     def scale(self, c) -> "Cochain":
-        return Cochain(self.degree, self.alg_dim, self.module_dim,
-                       tuple(vscale(c, comp) for comp in self.comps))
+        c = rat(c)
+        return self._from_dok(("r", {key: c * x for key, x in self.comps.dok.items()}))
 
-    def _compatible(self, other: "Cochain"):
-        if (self.degree, self.alg_dim, self.module_dim) != \
-                (other.degree, other.alg_dim, other.module_dim):
+    def _from_dok(self, e, other: "Cochain | None" = None) -> "Cochain":
+        """The cochain of this shape, and other's, whose comps are the expression e."""
+        shape = (self.degree, self.alg_dim, self.module_dim)
+        if other is not None and shape != (other.degree, other.alg_dim, other.module_dim):
             raise InputError("cochain shape mismatch")
+        return Cochain(*shape, Tensor.from_dok(e[1], (len(self.comps), self.module_dim)))
 
 
 @lru_cache(maxsize=None)
@@ -227,15 +219,15 @@ def _phi_wedges(phi: Matrix):
 
 def zero_cochain(degree: int, alg_dim: int, module_dim: int) -> Cochain:
     return Cochain(degree, alg_dim, module_dim,
-                   tuple(zero_vec(module_dim) for _ in _tuple_index(alg_dim, degree)))
+                   Tensor.from_dok({}, (len(_tuple_index(alg_dim, degree)), module_dim)))
 
 
 def cochain_from_coords(degree: int, alg_dim: int, module_dim: int, flat: Vec) -> Cochain:
     count = len(_tuple_index(alg_dim, degree))
     if len(flat) != count * module_dim:
         raise InputError("coordinate vector has wrong length for this cochain shape")
-    comps = tuple(tuple(flat[r * module_dim + a] for a in range(module_dim)) for r in range(count))
-    return Cochain(degree, alg_dim, module_dim, comps)
+    return Cochain(degree, alg_dim, module_dim,
+                   [flat[r * module_dim:(r + 1) * module_dim] for r in range(count)])
 
 
 def cochain_from_function(degree: int, alg_dim: int, module_dim: int, fn) -> Cochain:
@@ -286,8 +278,7 @@ def coboundary_matrix(r: Representation, k: int) -> Matrix:
     spectators carry one phi and the bracket slot none.  Restricted to
     hom-cochains this is the twisted coboundary.
     """
-    height = _size(r, k + 1)
-    return Matrix.from_columns(from_dok(_coboundary(r, k), (_size(r, k), height)), rows=height)
+    return Matrix.from_dok(_coboundary(r, k), _size(r, k + 1), _size(r, k))
 
 
 def _coboundary(r: Representation, k: int) -> dict:

@@ -24,7 +24,7 @@ from .cohomology import (Cochain, Representation, _is_exact, check_representatio
                          trivial_representation)
 from .errors import CheckFailure, InputError, PreconditionError
 from .exactlin import (Matrix, Tensor, _ap, _form, _product, _sum, as_tensor, dok, inverse, rank,
-                       rat, require_shape, sparse_vec, zero_vec)
+                       rat, require_shape, sparse_vec)
 from .homlie import (HomLieAlgebra, HomLieMorphism, check_hom_lie, check_hom_lie_morphism,
                      killing_form, twisted_algebra)
 from .hl2 import TwoTermHL, _skew3, check_two_term
@@ -126,8 +126,7 @@ def _skeletal(g: HomLieAlgebra, f: Cochain) -> TwoTermHL:
 def sl2_example() -> HomLieAlgebra:
     """sl(2) with the twisted bracket [A,B] = -C, [C,A] = -2B, [B,C] = -2A and
     the involution A <-> -B, C -> -C."""
-    z = zero_vec(3)
-    br = [[list(z) for _ in range(3)] for _ in range(3)]
+    br = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
     br[0][1] = [0, 0, -1]
     br[1][0] = [0, 0, 1]
     br[2][0] = [0, -2, 0]

@@ -4,33 +4,33 @@ Every axiom check in this package reduces to an identity between rational
 tensors, every cohomology space to a kernel, and every triviality question
 to exact solvability.  Immutable dense `Matrix`es over ``fractions.Fraction``
 are the API; beneath them a sparse matrix is one form, the `dok` map keyed
-(column, row), multiplied only by `_ap`.  One elimination, `_rref`, answers
-rank, kernels (as maps), solutions, inverses and span membership: it scales
-each row of the map that holds a Fraction to ints over its own nonzeros and
-eliminates fraction-free with content division, finding the rows nonzero in
-a column through an index kept current as rows change; Fractions are built
-only where a public function returns them.  The dense `Matrix` product runs
-on ints; it serves callers of the API, and no check multiplies matrices.
+(column, row), multiplied only by `_ap`: a Matrix's `*`, `+`, `-`, negation
+and transpose are built by `Matrix.from_dok` from `dok` expressions, and no
+check multiplies matrices.  One elimination, `_rref`, answers rank, kernels
+(as maps), solutions, inverses and span membership: it scales each row of
+the map that holds a Fraction to ints over its own nonzeros and eliminates
+fraction-free with content division, finding the rows nonzero in a column
+through an index kept current as rows change; Fractions are built only
+where a public function returns them.
 
 Multilinear maps are evaluated one way, on dicts of keys.  `dok` gives a
 tensor (nested tuples of structure constants), a `Matrix` or a tuple of
 matrices as {(input indices..., output index): nonzero coefficient}, the
 coefficient an int where integral; a `Tensor` or a `Matrix` keeps its `dok`,
-read-only, from first use, and `from_dok` turns a dict back into nested
-tuples, and `Tensor.from_dok` a dict into a Tensor that keeps it as `dok`.
+read-only, and `from_dok` turns a dict back into nested tuples, as
+`Tensor.from_dok` and `Matrix.from_dok` do into a record that keeps it.
 `_ap` substitutes expressions into a map's inputs one slot at a time and
 `_sum` adds signed terms with renamed slots: the residual tensors
 (lhs − rhs) of the laws and every construction's structure constants are
 built with them.  `_form` reads a Matrix as the bilinear form x^T M y, and
 `_product` a product A·B as an expression over it, so an equality of matrix
-products is a residual like any other law.
-Int–Fraction arithmetic is exact and ``3 == Fraction(3)`` with equal
-hashes, so every comparison gives the answer Fraction arithmetic would.
-Evaluated vectors may hold ints; stored structures stay all-Fraction,
-because `Matrix` and `as_tensor` coerce them.  Every record checks its
-fields here: `as_tensor` a tensor's exact length at every level, so
-over-long data is refused, and `require_shape` a Matrix's shape.  There is
-no floating point and no rounding anywhere.
+products is a residual like any other law.  Int–Fraction arithmetic is
+exact and ``3 == Fraction(3)`` with equal hashes, so every comparison gives
+the answer Fraction arithmetic would.  Stored structures stay all-Fraction:
+`as_tensor` coerces a record's tensor, a Matrix's rows and a Cochain's
+components, refusing data of another length at any level, and names the
+index of a misshapen level or a bad rational; `require_shape` checks a
+Matrix field's shape.  There is no floating point and no rounding anywhere.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, repeat
 from math import gcd, lcm, prod
-from operator import add, itemgetter, neg
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -85,30 +85,6 @@ def vec(xs: Iterable) -> Vec:
     return tuple(map(rat, xs))
 
 
-def zero_vec(n: int) -> Vec:
-    return (F0,) * n
-
-
-def vadd(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise ValueError(f"vadd: lengths {len(a)} and {len(b)} differ")
-    return tuple(map(add, a, b))
-
-
-def vneg(a: Vec) -> Vec:
-    return tuple(map(neg, a))
-
-
-def vscale(c: Fraction, a: Vec) -> Vec:
-    if c == 0:
-        return zero_vec(len(a))
-    return tuple(c * x for x in a)
-
-
-def is_zero_vec(a: Vec) -> bool:
-    return not any(a)
-
-
 def unit_vec(n: int, i: int) -> Vec:
     """The i-th standard basis vector of length n, with int entries."""
     return tuple(1 if j == i else 0 for j in range(n))
@@ -148,7 +124,8 @@ def as_tensor(data, shape, field: str) -> Tensor:
     """Nested lists or tuples of exactly `shape` (input dimensions..., output
     dimension) as a stored Tensor of `rat` entries.  A Tensor is built uniform,
     so one path shows its shape; one of this shape is kept, with its `dok`.
-    Other data is walked level by level; an index path is built only to raise."""
+    Other data is walked level by level; an index path, to a misshapen level
+    or to an entry `rat` refuses, is built only to raise."""
     if isinstance(data, Tensor) and _fits(data, shape):
         return data
     layer, seq = [data], (list, tuple)
@@ -160,7 +137,14 @@ def as_tensor(data, shape, field: str) -> Tensor:
                 where = field + _path(next(k for k, y in enumerate(layer) if y is x), shape[:level])
                 got = len(x) if isinstance(x, seq) else type(x).__name__
                 raise InputError(f"{where}: expected length {d}, got {got}")
-    layer = [tuple(map(rat, x)) for x in layer]
+    try:
+        layer = [tuple(map(rat, x)) for x in layer]
+    except InputError:
+        for k, y in enumerate(y for x in layer for y in x):
+            try:
+                rat(y)
+            except InputError as exc:
+                raise InputError(f"{field}{_path(k, shape)}: {exc}") from None
     for level in reversed(range(len(shape) - 1)):
         d = shape[level]
         layer = list(zip(*[iter(layer)] * d)) if d else [()] * prod(shape[:level])
@@ -292,23 +276,28 @@ def _product(a: "Matrix", b: "Matrix"):
 class Matrix:
     """Immutable dense matrix of Fractions, stored as row tuples.  Equality,
     hash and repr are those of the shape and the rows; `dok` is the map
-    v -> M·v keyed (column, row), built on first use and read-only."""
+    v -> M·v keyed (column, row), read-only: kept from `from_dok`, else built
+    on first use.  Every operator is built by `from_dok` from a `dok` expression."""
 
     __slots__ = ("rows", "cols", "data", "_dok")
 
     def __init__(self, rows: int, cols: int, data):
-        rows_t = tuple(tuple(x if x.__class__ is Fraction else rat(x) for x in row)
-                       for row in data)
-        if len(rows_t) != rows or any(len(r) != cols for r in rows_t):
-            raise InputError(f"matrix data does not have shape {rows}x{cols}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", rows_t)
+        object.__setattr__(self, "data", tuple(as_tensor(data, (rows, cols), "matrix")))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_dok(cls, t: dict, rows: int, cols: int) -> "Matrix":
+        """The rows x cols Matrix of the map t keyed (column, row), as `dok`
+        keys one, with Fraction entries; t, as `_ints` gives it, is its `dok`."""
+        m = cls(rows, cols, Tensor.from_dok({(i, j): x for (j, i), x in t.items()}, (rows, cols)))
+        object.__setattr__(m, "_dok", MappingProxyType(_ints(t)))
+        return m
 
     @classmethod
     def from_rows(cls, data) -> "Matrix":
@@ -319,37 +308,32 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vec], rows: int | None = None) -> "Matrix":
-        cols = len(columns)
-        if cols == 0:
-            if rows is None:
-                raise InputError("from_columns with no columns needs an explicit row count")
-            return cls.zeros(rows, 0)
-        n = len(columns[0])
+        if not columns and rows is None:
+            raise InputError("from_columns with no columns needs an explicit row count")
+        n = len(columns[0]) if columns else rows
         if any(len(c) != n for c in columns):
             raise InputError("columns have differing lengths")
-        return cls(n, cols, [[columns[j][i] for j in range(cols)] for i in range(n)])
+        return cls(n, len(columns), [[c[i] for c in columns] for i in range(n)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [[F1 if i == j else F0 for j in range(n)] for i in range(n)])
+        return cls.from_dok({(i, i): 1 for i in range(n)}, n, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[F0] * cols for _ in range(rows)])
+        return cls.from_dok({}, rows, cols)
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
         entries = vec(entries)
-        n = len(entries)
-        return cls(n, n, [[entries[i] if i == j else F0 for j in range(n)] for i in range(n)])
+        return cls.from_dok({(i, i): x for i, x in enumerate(entries)}, len(entries), len(entries))
 
     @property
     def dok(self) -> MappingProxyType:
         try:
             return self._dok
         except AttributeError:
-            t = MappingProxyType({(j, i): c for j, col in enumerate(zip(*self.data))
-                                  for i, c in sparse_vec(col)})
+            t = MappingProxyType({(j, i): c for (i, j), c in _dok(self.data).items()})
             object.__setattr__(self, "_dok", t)
             return t
 
@@ -377,40 +361,26 @@ class Matrix:
         return tuple(out.get((i,), 0) for i in range(self.rows))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """On ints: row i scaled by its lcm denominator d_i, column j by e_j."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.shape()} by {other.shape()}")
-        e = [lcm(*(r[j].denominator for r in other.data)) for j in range(other.cols)]
-        b = [[(j, x.numerator * (e[j] // x.denominator)) for j, x in enumerate(r) if x]
-             for r in other.data]
-        data = []
-        for row in self.data:
-            d, acc = lcm(*(x.denominator for x in row)), [0] * other.cols
-            for x, bk in zip(row, b):
-                if x:
-                    for j, y in bk:
-                        acc[j] += x.numerator * (d // x.denominator) * y
-            data.append([Fraction(v, d * e[j]) if v else F0 for j, v in enumerate(acc)])
-        return Matrix(self.rows, other.cols, data)
+        return Matrix.from_dok(_ap(dok(self), ("j", dok(other)))[1], self.rows, other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
+        if self.shape() != other.shape():
+            raise InputError(f"shape mismatch: {self.shape()} vs {other.shape()}")
+        return Matrix.from_dok(_sum((1, ("j", dok(self))), (1, ("j", dok(other))))[1],
+                               self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
+        return Matrix.from_dok({key: -x for key, x in dok(self).items()}, self.rows, self.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix.from_dok({(i, j): x for (j, i), x in dok(self).items()}, self.cols, self.rows)
 
     # -- predicates ----------------------------------------------------------
 
@@ -418,11 +388,7 @@ class Matrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
-
-    def _same_shape(self, other: "Matrix"):
-        if self.shape() != other.shape():
-            raise InputError(f"shape mismatch: {self.shape()} vs {other.shape()}")
+        return not dok(self)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.shape() == other.shape()

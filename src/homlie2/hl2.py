@@ -44,8 +44,7 @@ from functools import cache, partial
 from itertools import combinations, product
 
 from .errors import InputError
-from .exactlin import (Matrix, Tensor, Vec, _ap, _product, _sum, as_tensor, dok, from_dok,
-                       require_shape, zero_vec)
+from .exactlin import Matrix, Tensor, Vec, _ap, _product, _sum, as_tensor, dok, require_shape
 from .reports import CheckReport, LawChecker
 from .twovect import TwoVectorSpace, from_complex
 
@@ -164,8 +163,8 @@ class HLMorphism:
 
 
 def identity_hl_morphism(v: TwoTermHL) -> HLMorphism:
-    zero = tuple(tuple(zero_vec(v.dim1) for _ in range(v.dim0)) for _ in range(v.dim0))
-    return HLMorphism(v, v, Matrix.identity(v.dim0), Matrix.identity(v.dim1), zero)
+    return HLMorphism(v, v, Matrix.identity(v.dim0), Matrix.identity(v.dim1),
+                      Tensor.from_dok({}, (v.dim0, v.dim0, v.dim1)))
 
 
 def check_hl_morphism(m: HLMorphism) -> CheckReport:
@@ -256,8 +255,8 @@ def functor_T(v: TwoTermHL) -> HomLie2Data:
           **{(n0 + a, n0 + b, n0 + k): c
              for (a, b, k), c in _ap(M2, _ap(dok(v.d), "a"), "b")[1].items()}}
     bracket_mor = Tensor.from_dok(bm, (nm, nm, nm))
-    phi1_full = Matrix.from_columns(from_dok({**dok(v.phi0), **{
-        (n0 + j, n0 + i): c for (j, i), c in dok(v.phi1).items()}}, (nm, nm)), rows=nm)
+    phi1_full = Matrix.from_dok({**dok(v.phi0), **{
+        (n0 + j, n0 + i): c for (j, i), c in dok(v.phi1).items()}}, nm, nm)
     return HomLie2Data(from_complex(v.d), v.l2_00, bracket_mor, v.phi0, phi1_full, v.l3)
 
 
@@ -278,8 +277,7 @@ def functor_S(L: HomLie2Data) -> TwoTermHL:
     PM = dok(L.Phi1)            # keyed (column, row); Phi1 must preserve Ker(s) to restrict
     if any(i < n0 <= j for j, i in PM):
         raise InputError("twist functor does not preserve Ker(s)")
-    phi1 = Matrix.from_columns(from_dok({(j - n0, i - n0): c for (j, i), c in PM.items()
-                                         if j >= n0}, (n1, n1)), rows=n1)
+    phi1 = Matrix.from_dok({(j - n0, i - n0): c for (j, i), c in PM.items() if j >= n0}, n1, n1)
     out = TwoTermHL(n0, n1, tvs.d, L.bracket_obj, l2_01, L.jac, L.Phi0, phi1)
     check_two_term(out).require("functor_S output")
     return out

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import InputError, PreconditionError
-from .exactlin import (Matrix, Tensor, Vec, _ap, _product, _sum, as_tensor, dok, from_dok,
-                       is_zero_vec, require_shape, unit_vec, zero_vec)
+from .exactlin import (Matrix, Tensor, Vec, _ap, _product, _sum, as_tensor, dok, require_shape,
+                       unit_vec)
 from .reports import CheckReport, LawChecker
 
 def bilinear_eval(tensor: Tensor, x: Vec, y: Vec, out_dim: int) -> Vec:
@@ -49,9 +49,7 @@ class HomLieAlgebra:
 
     def ad(self, x: Vec) -> Matrix:
         """Matrix of y -> [x, y] in the algebra's own bracket."""
-        n = self.dim
-        cols = from_dok(_ap(dok(self.bracket), ("", dok(x)), "b")[1], (n, n))
-        return Matrix.from_columns(cols, rows=n)
+        return Matrix.from_dok(_ap(dok(self.bracket), ("", dok(x)), "b")[1], self.dim, self.dim)
 
     def is_involutive(self) -> bool:
         phi = partial(_ap, dok(self.phi))
@@ -62,13 +60,12 @@ class HomLieAlgebra:
         return rank(self.phi) == self.dim
 
     def is_abelian(self) -> bool:
-        return all(is_zero_vec(self.bracket[i][j])
-                   for i in range(self.dim) for j in range(self.dim))
+        return not dok(self.bracket)
 
 
 def abelian_algebra(dim: int, phi: Matrix | None = None) -> HomLieAlgebra:
-    zero = tuple(tuple(zero_vec(dim) for _ in range(dim)) for _ in range(dim))
-    return HomLieAlgebra(dim, zero, phi if phi is not None else Matrix.identity(dim))
+    return HomLieAlgebra(dim, Tensor.from_dok({}, (dim,) * 3),
+                         phi if phi is not None else Matrix.identity(dim))
 
 
 def check_hom_lie(g: HomLieAlgebra) -> CheckReport:
@@ -128,11 +125,11 @@ def compose_morphisms(first: HomLieMorphism, second: HomLieMorphism) -> HomLieMo
 def killing_form(g: HomLieAlgebra) -> Matrix:
     """B(x,y) = tr(ad_x ∘ ad_y), the adjoint taken in g's own bracket: the
     sum over c of the c-th coordinate of [x, [y, e_c]]."""
-    br, data = partial(_ap, dok(g.bracket)), [[0] * g.dim for _ in range(g.dim)]
+    br, t = partial(_ap, dok(g.bracket)), {}
     for (a, b, c, e), x in br("a", br("b", "c"))[1].items():
         if c == e:
-            data[a][b] += x
-    return Matrix(g.dim, g.dim, data)
+            t[b, a] = t.get((b, a), 0) + x
+    return Matrix.from_dok(t, g.dim, g.dim)
 
 
 def twisted_algebra(g: HomLieAlgebra) -> HomLieAlgebra:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .exactlin import Matrix, Vec, _ap, _product, _sum, dok, from_dok, require_shape, vadd
+from .exactlin import Matrix, Vec, _ap, _product, _sum, dok, from_dok, require_shape
 
 Morphism = tuple  # (Vec over V0, Vec over V1)
 
@@ -33,18 +33,22 @@ class TwoVectorSpace:
         return mor[0]
 
     def target(self, mor: Morphism) -> Vec:
-        if len(mor[1]) != self.dim1:
-            raise InputError(f"V1-part has length {len(mor[1])}, expected {self.dim1}")
-        return vadd(mor[0], from_dok(_ap(dok(self.d), ("", dok(mor[1])))[1], (self.dim0,)))
+        """v + d m for the arrow (v, m), one `_sum` of `dok` expressions."""
+        if (len(mor[0]), len(mor[1])) != (self.dim0, self.dim1):
+            raise InputError(f"arrow parts have lengths {len(mor[0])} and {len(mor[1])}, "
+                             f"expected {self.dim0} and {self.dim1}")
+        return from_dok(_sum((1, ("", dok(mor[0]))), (1, _ap(dok(self.d), ("", dok(mor[1])))))[1],
+                        (self.dim0,))
 
     def ident(self, obj: Vec) -> Morphism:
         return (tuple(obj), (0,) * self.dim1)
 
     def compose(self, first: Morphism, second: Morphism) -> Morphism:
         """Vertical composition; the morphisms must abut exactly."""
-        if self.target(first) != self.source(second):
-            raise InputError("morphisms do not compose: target != source")
-        return (first[0], vadd(first[1], second[1]))
+        if len(second[1]) != self.dim1 or self.target(first) != self.source(second):
+            raise InputError("morphisms do not compose: target != source, or a V1-part's length")
+        return (first[0], from_dok(_sum((1, ("", dok(first[1]))), (1, ("", dok(second[1]))))[1],
+                                   (self.dim1,)))
 
     def mor_from_coords(self, coords: Vec) -> Morphism:
         return (tuple(coords[:self.dim0]), tuple(coords[self.dim0:]))

@@ -20,11 +20,41 @@ from homlie2.cohomology import (Cochain, Representation, adjoint_representation,
 from homlie2.constructions import (CrossedModule, HomLeftSymmetric, QuadraticHomLie,
                                    SymplecticHomLie, sl2_example)
 from homlie2.errors import PreconditionError
-from homlie2.exactlin import (F0, F1, Matrix, Vec, det_of, inverse, is_zero_vec, rank, rat,
-                              vadd, vneg, zero_vec)
+from homlie2.exactlin import F0, F1, Matrix, Vec, det_of, inverse, rank, rat
 from homlie2.hl2 import HLMorphism, HomLie2Data, TwoTermHL, functor_S, functor_T
 from homlie2.homlie import HomLieAlgebra, HomLieMorphism, abelian_algebra
 from homlie2.reports import CheckReport, LawChecker, merge_reports
+
+
+# Dense vector and matrix arithmetic of the references, entry by entry in
+# Fractions, so that no reference shares the package's `_ap` product.
+
+def zero_vec(n: int) -> Vec:
+    return (F0,) * n
+
+
+def vadd(a: Vec, b: Vec) -> Vec:
+    assert len(a) == len(b), f"vadd: lengths {len(a)} and {len(b)} differ"
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vneg(a: Vec) -> Vec:
+    return tuple(-x for x in a)
+
+
+def is_zero_vec(a: Vec) -> bool:
+    return not any(a)
+
+
+def reference_matmul(*ms: Matrix) -> Matrix:
+    """The product of the matrices from the left, each entry Σ_t a[i, t]·b[t, j]
+    summed in Fractions."""
+    a = ms[0]
+    for b in ms[1:]:
+        assert a.cols == b.rows, f"cannot multiply {a.shape()} by {b.shape()}"
+        a = Matrix(a.rows, b.cols, [[sum((a[i, t] * b[t, j] for t in range(a.cols)), F0)
+                                     for j in range(b.cols)] for i in range(a.rows)])
+    return a
 
 
 def is_identity(m: Matrix) -> bool:
@@ -182,7 +212,7 @@ def reference_coboundary(f: Cochain, r: Representation) -> Cochain:
     phi_cols = [g.phi.column(j) for j in range(n)]
     phi_pow = Matrix.identity(n)
     for _ in range(k - 1):
-        phi_pow = phi_pow * g.phi
+        phi_pow = reference_matmul(phi_pow, g.phi)
     rho_tw = [reference_rho_at(r, phi_pow.column(i)) for i in range(n)]
     comps = []
     for t in combinations(range(n), k + 1):
@@ -244,6 +274,37 @@ def reference_dims(r: Representation, k: int) -> tuple[int, int, int, int]:
 
 def _reference_rank(columns) -> int:
     return reference_rank_and_kernel(Matrix.from_columns(columns))[0]
+
+
+def sl_n(n: int, theta: bool = False) -> HomLieAlgebra:
+    """sl(n) in the integer basis E_ij (i != j, row-major), then
+    H_i = E_ii − E_{i+1,i+1}, with the commutator as bracket and φ = Id.
+    With theta, its Yau twist by the Chevalley involution θ(X) = −Xᵀ:
+    bracket θ[x, y] and φ = θ."""
+    basis = [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
+    off = len(basis)
+    basis += [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+
+    def coords(x: dict) -> list:
+        """x's coordinates: at E_ij its (i, j) entry, at H_i its diagonal's i-th partial sum."""
+        return ([x.get(next(iter(b)), 0) for b in basis[:off]]
+                + [sum(x.get((l, l), 0) for l in range(i + 1)) for i in range(n - 1)])
+
+    def twist(x: dict) -> dict:
+        return {(j, i): -a for (i, j), a in x.items()} if theta else x
+
+    def bracket(x: dict, y: dict) -> dict:
+        out: dict = {}
+        for (i, j), a in x.items():
+            for (k, l), b in y.items():
+                if j == k:
+                    out[i, l] = out.get((i, l), 0) + a * b
+                if l == i:
+                    out[k, j] = out.get((k, j), 0) - a * b
+        return twist(out)
+
+    br = [[coords(bracket(x, y)) for y in basis] for x in basis]
+    return HomLieAlgebra(len(basis), br, Matrix.from_columns([coords(twist(b)) for b in basis]))
 
 
 def direct_sum(g: HomLieAlgebra, h: HomLieAlgebra) -> HomLieAlgebra:
@@ -409,8 +470,8 @@ def transport_two_term(v, p0: Matrix, p1: Matrix):
               for a in range(n1)] for i in range(n0)]
     l3 = [[[reference_apply(p1, reference_trilinear_eval(v.l3, q0c[i], q0c[j], q0c[k], n1))
             for k in range(n0)] for j in range(n0)] for i in range(n0)]
-    w = TwoTermHL(n0, n1, p0 * v.d * q1, l2_00, l2_01, l3,
-                  p0 * v.phi0 * q0, p1 * v.phi1 * q1)
+    w = TwoTermHL(n0, n1, reference_matmul(p0, v.d, q1), l2_00, l2_01, l3,
+                  reference_matmul(p0, v.phi0, q0), reference_matmul(p1, v.phi1, q1))
     zero_f2 = [[[0] * n1 for _ in range(n0)] for _ in range(n0)]
     return w, HLMorphism(v, w, p0, p1, zero_f2)
 
@@ -460,9 +521,9 @@ def reference_dual_gate(r: Representation) -> bool:
     phi_cols = [g.phi.column(j) for j in range(g.dim)]
     for i in range(g.dim):
         for j in range(g.dim):
-            lhs = A * reference_rho_at(r, g.bracket[i][j])
-            rhs = (r.rho[i] * reference_rho_at(r, phi_cols[j])
-                   - r.rho[j] * reference_rho_at(r, phi_cols[i]))
+            lhs = reference_matmul(A, reference_rho_at(r, g.bracket[i][j]))
+            rhs = (reference_matmul(r.rho[i], reference_rho_at(r, phi_cols[j]))
+                   - reference_matmul(r.rho[j], reference_rho_at(r, phi_cols[i])))
             if lhs != rhs:
                 return False
     return True
@@ -592,7 +653,8 @@ def reference_check_hom_lie_morphism(m: HomLieMorphism) -> CheckReport:
              (((i, j), reference_apply(f, src.bracket[i][j]) ==
                reference_bilinear_eval(tgt.bracket, f_cols[i], f_cols[j], tgt.dim))
               for i in range(n) for j in range(n)))
-    _matrix_eq(chk, "twist-intertwined", f * src.phi, tgt.phi * f)
+    _matrix_eq(chk, "twist-intertwined", reference_matmul(f, src.phi),
+               reference_matmul(tgt.phi, f))
     return chk.report()
 
 
@@ -602,12 +664,13 @@ def reference_check_representation(r: Representation) -> CheckReport:
     phi_cols = [g.phi.column(j) for j in range(n)]
     chk = LawChecker("representation")
     chk.scan("twist-compatibility",
-             (((i,), reference_rho_at(r, phi_cols[i]) * A == A * r.rho[i]) for i in range(n)))
+             (((i,), reference_matmul(reference_rho_at(r, phi_cols[i]), A) ==
+               reference_matmul(A, r.rho[i])) for i in range(n)))
     chk.scan("bracket-action",
              (((i, j),
-               reference_rho_at(r, g.bracket[i][j]) * A ==
-               reference_rho_at(r, phi_cols[i]) * r.rho[j] -
-               reference_rho_at(r, phi_cols[j]) * r.rho[i])
+               reference_matmul(reference_rho_at(r, g.bracket[i][j]), A) ==
+               reference_matmul(reference_rho_at(r, phi_cols[i]), r.rho[j]) -
+               reference_matmul(reference_rho_at(r, phi_cols[j]), r.rho[i]))
               for i in range(n) for j in range(n)))
     return chk.report()
 
@@ -618,7 +681,7 @@ def reference_check_two_term(v: TwoTermHL) -> CheckReport:
     n0, n1 = v.dim0, v.dim1
     phi0_cols = [v.phi0.column(t) for t in range(n0)]
     phi1_cols = [v.phi1.column(t) for t in range(n1)]
-    phi0sq = v.phi0 * v.phi0
+    phi0sq = reference_matmul(v.phi0, v.phi0)
     phi0sq_cols = [phi0sq.column(t) for t in range(n0)]
     chk = LawChecker("two_term_hl")
     chk.scan("(a)", (((i, j), v.l2_00[i][j] == vneg(v.l2_00[j][i]))
@@ -664,7 +727,7 @@ def reference_check_two_term(v: TwoTermHL) -> CheckReport:
     _scan(chk, "(h)", (r0, r0, r0), cond_h)
     _scan(chk, "(i)", (r0, r0, range(n1)), cond_i)
     _scan(chk, "(j)", (r0, r0, r0, r0), cond_j)
-    _matrix_eq(chk, "phi-chain", v.phi0 * v.d, v.d * v.phi1)
+    _matrix_eq(chk, "phi-chain", reference_matmul(v.phi0, v.d), reference_matmul(v.d, v.phi1))
     _scan(chk, "l3-equivariance", (r0, r0, r0), equivariant)
     chk.scan("l3-skew",
              (((i, j, k), v.l3[i][j][k] == vneg(v.l3[j][i][k])
@@ -784,7 +847,7 @@ def reference_check_hom_lie2(L: HomLie2Data) -> CheckReport:
     obj_basis = [_unit(n0, i) for i in range(n0)]
     v1_basis = [_unit(n1, a) for a in range(n1)]
     mor_basis = [tvs.mor_from_coords(_unit(nm, p)) for p in range(nm)]
-    phi0sq = L.Phi0 * L.Phi0
+    phi0sq = reference_matmul(L.Phi0, L.Phi0)
 
     def target(mor):
         return vadd(mor[0], reference_apply(tvs.d, mor[1]))
@@ -917,9 +980,10 @@ def reference_check_hl_morphism(m: HLMorphism) -> CheckReport:
         return reference_bilinear_eval(m.f2, x, y, tgt.dim1)
 
     chk = LawChecker("hl_morphism")
-    _matrix_eq(chk, "chain-map", m.f0 * src.d, tgt.d * m.f1)
-    _matrix_eq(chk, "phi0-intertwined", m.f0 * src.phi0, tgt.phi0 * m.f0)
-    _matrix_eq(chk, "phi1-intertwined", m.f1 * src.phi1, tgt.phi1 * m.f1)
+    for law, a, b, c, d in (("chain-map", m.f0, src.d, tgt.d, m.f1),
+                            ("phi0-intertwined", m.f0, src.phi0, tgt.phi0, m.f0),
+                            ("phi1-intertwined", m.f1, src.phi1, tgt.phi1, m.f1)):
+        _matrix_eq(chk, law, reference_matmul(a, b), reference_matmul(c, d))
     chk.scan("f2-skew", (((i, j), m.f2[i][j] == vneg(m.f2[j][i]))
                          for i in range(n0) for j in range(n0)))
     chk.scan("f2-equivariance",
@@ -1024,7 +1088,7 @@ def reference_leftsym_d_report(a: HomLeftSymmetric, d: Matrix) -> CheckReport:
     a = reference_product(a)
     n = a.dim
     chk = LawChecker("leftsym_d")
-    _matrix_eq(chk, "d-phi-commute", d * a.phi, a.phi * d)
+    _matrix_eq(chk, "d-phi-commute", reference_matmul(d, a.phi), reference_matmul(a.phi, d))
     d_cols = [d.column(i) for i in range(n)]
     chk.scan("d-star-shift",
              (((i, j), a.star_vec(d_cols[i], a.basis(j)) == a.star_vec(a.basis(i), d_cols[j]))
@@ -1054,10 +1118,12 @@ def reference_check_quadratic(q: QuadraticHomLie) -> CheckReport:
              (((i, j, k), reference_pair(B, g.bracket[i][j], g.basis(k)) ==
                -reference_pair(B, g.bracket[i][k], g.basis(j)))
               for i in range(n) for j in range(n) for k in range(n)))
-    phi_sym = _matrix_eq(chk, "phi-symmetric", B * g.phi, g.phi.transpose() * B)
-    involutive = is_identity(g.phi * g.phi)
+    phi_t = g.phi.transpose()
+    phi_sym = _matrix_eq(chk, "phi-symmetric", reference_matmul(B, g.phi),
+                         reference_matmul(phi_t, B))
+    involutive = is_identity(reference_matmul(g.phi, g.phi))
     chk.add("involutive", involutive)
-    isometry = _matrix_eq(chk, "isometry", g.phi.transpose() * B * g.phi, B)
+    isometry = _matrix_eq(chk, "isometry", reference_matmul(phi_t, B, g.phi), B)
     count = sum(1 for flag in (phi_sym, involutive, isometry) if flag)
     chk.add("two-of-three", count != 2,
             note="any two of {phi-symmetric, involutive, isometry} force the third")
@@ -1073,7 +1139,7 @@ def reference_check_symplectic(s: SymplecticHomLie) -> CheckReport:
     chk = LawChecker("symplectic")
     _matrix_eq(chk, "skew", omega, -(omega.transpose()))
     chk.add("nondegenerate", rank(omega) == n)
-    _matrix_eq(chk, "phi-invariant", g.phi.transpose() * omega * g.phi, omega,
+    _matrix_eq(chk, "phi-invariant", reference_matmul(g.phi.transpose(), omega, g.phi), omega,
                note="omega(phi x, phi y) = omega(x, y)")
 
     def closed(i, j, k):

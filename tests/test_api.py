@@ -53,6 +53,8 @@ def test_removed_names_are_gone():
                          (homlie2.homlie, "Tensor2"), (homlie2.hl2, "Tensor3")):
         assert not hasattr(module, name), name
     assert not hasattr(Tensor, "has_shape")
+    for name in ("vadd", "vneg", "vscale", "is_zero_vec", "zero_vec"):
+        assert not hasattr(homlie2.exactlin, name), name
 
 
 def test_per_tuple_evaluators_of_the_old_law_scans_are_gone():

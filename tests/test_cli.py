@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -133,6 +135,23 @@ def test_roundtrip_command(capsys):
 
 def test_roundtrip_wrong_kind():
     assert run("roundtrip", str(FIX / "sl2.json")) == 2
+
+
+@pytest.mark.parametrize("argv", [("check", "sl2_string.json", "--json"),
+                                  ("check", "sl2.json"), ("builtin", "sl2")])
+def test_a_closed_stdout_pipe_exits_141_quietly(argv):
+    """stdout is a pipe whose read end is closed before the run: the first
+    write fails with EPIPE, which is not an input error."""
+    argv = [FIX / a if a.endswith(".json") else a for a in argv]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "homlie2.cli", *map(str, argv)],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(FIX.parent / "src")})
+    finally:
+        os.close(write)
+    assert proc.returncode == 141 and proc.stderr == ""
 
 
 def test_missing_file_is_input_error():

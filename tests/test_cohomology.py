@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from helpers import (_ref_evaluate, direct_sum, heisenberg, nilpotent4, random_algebra,
                      random_hom_cochain, random_invertible, random_representation,
                      reference_coboundary, reference_dims, reference_hom_basis,
-                     reference_rho_at, rnd_frac, sl2_sum, transport_algebra)
+                     reference_rho_at, rnd_frac, sl2_sum, sl_n, transport_algebra, vadd,
+                     vneg)
 from homlie2.cohomology import (Cochain, Representation, _coboundary, _phi_wedges, _wedge,
                                 _wedge_into, adjoint_representation, check_representation,
                                 class_is_trivial, coboundary, coboundary_matrix,
@@ -24,7 +25,7 @@ from homlie2 import cohomology
 from homlie2.constructions import sl2_example
 from homlie2.errors import InputError, PreconditionError
 from homlie2.exactlin import Matrix, _ap, det_of, dok, from_dok, sparse_vec
-from homlie2.homlie import abelian_algebra, twisted_algebra
+from homlie2.homlie import abelian_algebra, check_hom_lie, twisted_algebra
 
 F = Fraction
 
@@ -353,6 +354,26 @@ def test_whitehead_lemmas_adjoint(c):
     assert cohomology_dims(rep, 2)[3] == 0
 
 
+@pytest.mark.parametrize("theta, nonzero", [(False, {0, 3, 5, 8}), (True, {0, 3})])
+def test_sl3_trivial_cohomology(theta, nonzero):
+    """H^k of sl(3), trivial coefficients, k = 0..8: at φ = Id nonzero exactly
+    where the primitive degrees 3 and 5 of sl(3) sum to k; under the Yau twist
+    by the Chevalley involution θ(X) = −Xᵀ at 0 and 3 only."""
+    g = sl_n(3, theta)
+    assert check_hom_lie(g).ok and g.is_involutive()
+    rep = trivial_representation(g)
+    assert {k for k in range(9) if cohomology_dims(rep, k)[3]} == nonzero
+
+
+def test_sl3_adjoint_cohomology():
+    """The adjoint H^k of sl(3) vanishes at every k at φ = Id; θ-twisted, the
+    degree-0 convention puts B^1 outside Z^1 and k = 1 is refused."""
+    rep = adjoint_representation(sl_n(3))
+    assert all(cohomology_dims(rep, k)[3] == 0 for k in range(9))
+    with pytest.raises(PreconditionError, match="B\\^1 is not contained in Z\\^1"):
+        cohomology_dims(adjoint_representation(sl_n(3, theta=True)), 1)
+
+
 # -- oracles sharing neither the wedge nor the elimination ----------------------
 
 # Poincaré polynomials at phi = Id, trivial coefficients: the Heisenberg algebra,
@@ -564,3 +585,45 @@ def test_huge_degrees_have_no_tuples(k, monkeypatch):
     assert hom_cochain_basis(rep, k) == []
     assert coboundary_matrix(rep, k).shape() == (0, 0)
     assert zero_cochain(k, 3, 3).comps == ()
+
+
+# -- Cochain storage and arithmetic ----------------------------------------------
+
+@pytest.mark.parametrize("comps, where", [
+    (((F(3, 2),), (1.5,)), "comps[1][0]: cannot interpret float"),
+    (((0,), ("x",)), "comps[1][0]: bad rational literal 'x'"),
+    (((True,), (0,)), "comps[0][0]: cannot interpret bool"),
+    (((0,), (1, 2)), "comps[1]: expected length 1, got 2"),
+    (((0,), (1,), (2,)), "comps: expected length 2, got 3"),
+])
+def test_cochain_refuses_what_is_not_its_shape_of_rationals(comps, where):
+    with pytest.raises(InputError, match="^" + where.replace("[", "\\[")):
+        Cochain(1, 2, 1, comps)
+
+
+def test_cochain_stores_fractions():
+    f = Cochain(1, 3, 2, [[1, "1/2"], (0, F(-3)), (F(4, 2), -7)])
+    assert all(type(x) is Fraction for c in f.comps for x in c)
+    assert f.comps == ((1, F(1, 2)), (0, -3), (2, -7))
+    assert type(zero_cochain(2, 3, 2).comps[0][0]) is Fraction
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_cochain_arithmetic_matches_the_dense_references(seed):
+    """`+`, `-` and `scale` against entry-by-entry Fraction sums, repr for repr,
+    on random shapes, the empty ones included."""
+    rng = random.Random(seed)
+    n, m = rng.randint(0, 4), rng.randint(0, 3)
+    k = rng.randint(0, n + 1)
+    f, g = (Cochain(k, n, m, [[rng.choice((0, 0, 1, -2, F(1, 2), F(-3, 4))) for _ in range(m)]
+                              for _ in combinations(range(n), k)]) for _ in range(2))
+    c = rng.choice((0, 1, -1, 3, F(2, 3), "-5/4"))
+    dense = (lambda comps: Cochain(k, n, m, [tuple(map(Fraction, x)) for x in comps]))
+    assert repr(f + g) == repr(dense([vadd(a, b) for a, b in zip(f.comps, g.comps)]))
+    assert repr(f - g) == repr(dense([vadd(a, vneg(b)) for a, b in zip(f.comps, g.comps)]))
+    assert repr(f.scale(c)) == repr(dense([[F(c) * x for x in a] for a in f.comps]))
+    assert (f - f).is_zero() and f.scale(0).is_zero()
+    assert f.is_zero() == all(x == 0 for a in f.comps for x in a)
+    with pytest.raises(InputError, match="cochain shape mismatch"):
+        f + Cochain(k, n, m + 1, [[0] * (m + 1) for _ in combinations(range(n), k)])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from helpers import (reference_inverse, reference_rank_and_kernel, reference_rref,
-                     reference_solve_linear, sl2_sum)
+from helpers import (reference_inverse, reference_matmul, reference_rank_and_kernel,
+                     reference_rref, reference_solve_linear, sl2_sum)
 from homlie2.cohomology import (_hom_system, adjoint_representation, coboundary_matrix,
                                 trivial_representation)
 from homlie2.errors import InputError
@@ -213,11 +213,56 @@ def test_inverse_matches_reference(m):
 @given(rational_matrices(), st.integers(0, 5), st.data())
 @settings(max_examples=80, deadline=None)
 def test_product_matches_dense_reference(a, cols, data):
-    """The int product against Σ_t a[i, t]·b[t, j] summed in Fractions."""
+    """The `_ap` product against Σ_t a[i, t]·b[t, j] summed in Fractions."""
     b = Matrix(a.cols, cols, [[data.draw(entries) for _ in range(cols)] for _ in range(a.cols)])
-    want = Matrix(a.rows, cols, [[sum((a[i, t] * b[t, j] for t in range(a.cols)), F(0))
-                                  for j in range(cols)] for i in range(a.rows)])
-    assert repr(a * b) == repr(want)
+    assert repr(a * b) == repr(reference_matmul(a, b))
+
+
+def _entries(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+@given(rational_matrices(max_rows=5, max_cols=5), st.integers(0, 4), st.data())
+@settings(max_examples=120, deadline=None)
+def test_matrix_operators_match_dense_references(a, cols, data):
+    """`*`, `+`, `-`, negation and transpose, each a `from_dok` of a `dok`
+    expression, against entry-by-entry Fraction arithmetic on random shapes,
+    0 rows or 0 columns among them: equal entries, all of them Fractions, and
+    a kept `dok` equal to the one built from the rows."""
+    b = Matrix(a.rows, a.cols, [[data.draw(entries) for _ in range(a.cols)]
+                                for _ in range(a.rows)])
+    c = Matrix(a.cols, cols, [[data.draw(entries) for _ in range(cols)] for _ in range(a.cols)])
+    pairs = [(a * c, reference_matmul(a, c)),
+             (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(_entries(a), _entries(b))]),
+             (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(_entries(a), _entries(b))]),
+             (-a, [[-x for x in r] for r in _entries(a)]),
+             (a.transpose(), [[a[i, j] for i in range(a.rows)] for j in range(a.cols)])]
+    for got, want in pairs:
+        want = want if isinstance(want, Matrix) else Matrix(len(want), got.cols, want)
+        assert got.shape() == want.shape() and _entries(got) == _entries(want)
+        assert all(type(x) is Fraction for row in got.data for x in row)
+        assert repr(got) == repr(want) and got == want and hash(got) == hash(want)
+        assert dict(got.dok) == dict(dok(Matrix(got.rows, got.cols, _entries(got))))
+    with pytest.raises(InputError, match="shape mismatch"):
+        a + Matrix.zeros(a.rows, a.cols + 1)
+    with pytest.raises(InputError, match="cannot multiply"):
+        a * Matrix.zeros(a.cols + 1, 1)
+
+
+def test_matrix_from_dok_keeps_its_map_as_dok():
+    t = {(0, 1): 2, (2, 0): F(1, 2), (1, 1): F(6, 3), (0, 0): 0}
+    m = Matrix.from_dok(t, 2, 3)
+    assert _entries(m) == [[0, 0, F(1, 2)], [2, 2, 0]]
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    assert m.dok is m.dok and dict(m.dok) == {(0, 1): 2, (2, 0): F(1, 2), (1, 1): 2}
+    assert type(m.dok[1, 1]) is int
+    assert m == Matrix(2, 3, [[0, 0, "1/2"], [2, 2, 0]])
+    with pytest.raises(TypeError):
+        m.dok[0, 0] = 1
+    kept = {(0, 0): 1, (1, 0): -1}
+    assert Matrix.from_dok(kept, 2, 1).dok == kept
+    for m in (Matrix.identity(3), Matrix.zeros(0, 2), Matrix.diagonal([1, "2/3"])):
+        assert dict(m.dok) == dict(dok(Matrix(m.rows, m.cols, _entries(m))))
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])

@@ -115,6 +115,38 @@ def test_a_longer_tensor_fails_as_its_nested_tuples_do(kind, field, record, shap
         assert messages[0].endswith(f"expected length {shape[level]}, got {shape[level] + 1}")
 
 
+BAD_RATIONALS = [("x", "bad rational literal 'x'"), (1.5, "cannot interpret float as a rational"),
+                 (True, "cannot interpret bool True as a rational")]
+
+
+@pytest.mark.parametrize("kind, field, record, shape", TENSOR_FIELDS,
+                         ids=[f"{k}.{f}" for k, f, _, _ in TENSOR_FIELDS])
+@pytest.mark.parametrize("bad, says", BAD_RATIONALS, ids=["str", "float", "bool"])
+def test_a_bad_rational_in_a_tensor_field_names_its_index(kind, field, record, shape, bad, says):
+    data = _lists(getattr(record, field))
+    node = data
+    for _ in range(len(shape) - 1):
+        node = node[-1]
+    node[-1] = bad                            # the last entry in row-major order
+    with pytest.raises(InputError) as exc:
+        dataclasses.replace(record, **{field: data})
+    where = "".join(f"[{d - 1}]" for d in shape)
+    assert str(exc.value).startswith(f"{field}{where}: {says}")
+
+
+@pytest.mark.parametrize("bad, says", BAD_RATIONALS, ids=["str", "float", "bool"])
+def test_a_bad_rational_in_a_matrix_names_its_index(bad, says):
+    with pytest.raises(InputError) as exc:
+        Matrix(1, 1, [[bad]])
+    assert str(exc.value).startswith(f"matrix[0][0]: {says}")
+    with pytest.raises(InputError) as exc:
+        Matrix(2, 3, [[0, "1/2", 1], [2, bad, 0]])
+    assert str(exc.value).startswith(f"matrix[1][1]: {says}")
+    with pytest.raises(InputError) as exc:
+        HomLieAlgebra(1, [[[bad]]], Matrix.identity(1))
+    assert str(exc.value).startswith(f"bracket[0][0][0]: {says}")
+
+
 def _misshapen(m: Matrix):
     """(a nested list, one row more, one column more) with what the message says of each."""
     return (([list(r) for r in m.data], "list"),

@@ -144,6 +144,20 @@ def test_compose_requires_matching_endpoints():
         tvs.compose(a, a)
 
 
+def test_target_and_compose_refuse_parts_of_the_wrong_length():
+    """The arrow parts are summed as `dok` maps, which carry no length, so
+    both lengths are checked first: a part too long or too short is an
+    InputError, never a silently shortened sum."""
+    tvs = from_complex(Matrix.identity(2))
+    good = ((F(1), F(0)), (F(0), F(1)))
+    for bad in (((F(1),), (F(0), F(1))), ((F(1), F(0)), (F(0), F(1), F(1)))):
+        with pytest.raises(InputError, match="arrow parts have lengths"):
+            tvs.target(bad)
+    with pytest.raises(InputError, match="do not compose"):
+        tvs.compose(good, (tvs.target(good), (F(0), F(1), F(5))))
+    assert tvs.compose(good, (tvs.target(good), (F(0), F(2)))) == ((F(1), F(0)), (F(0), F(3)))
+
+
 def _two_term_fixture_ds():
     from pathlib import Path
     from homlie2.modelfile import load_model
