@@ -35,8 +35,8 @@ from .errors import CheckFailure, InputError, PreconditionError
 from .hl2 import (HLMorphism, TwoTermHL, check_hl_morphism, check_two_term,
                   roundtrip_check)
 from .homlie import HomLieAlgebra, check_hom_lie
-from .modelfile import (LeftSymmetricFile, ModelError, load_model, save_model,
-                        serialize_model)
+from .modelfile import (FILE_KIND, LeftSymmetricFile, ModelError, load_model,
+                        save_model, serialize_model)
 from .reports import CheckReport, merge_reports
 
 def _emit(report: CheckReport, as_json: bool, extra: dict | None = None) -> None:
@@ -124,22 +124,22 @@ def _strict_from_leftsym_file(record: LeftSymmetricFile) -> TwoTermHL:
     return strict_from_leftsym(record.product, record.d)
 
 
-# construct KIND: the record its input file must hold, that file's kind, the construction
+# construct KIND: the record its input file must hold, the construction
 CONSTRUCTIONS = {
-    "string": (HomLieAlgebra, "hom_lie", string_from_semisimple),
-    "skeletal": (QuadraticHomLie, "quadratic", skeletal_from_quadratic),
-    "strict-from-crossed": (CrossedModule, "crossed_module", crossed_to_strict),
-    "crossed-from-strict": (TwoTermHL, "two_term_hl", strict_to_crossed),
-    "strict-from-symplectic": (SymplecticHomLie, "symplectic", strict_from_symplectic),
-    "strict-from-leftsym": (LeftSymmetricFile, "left_symmetric", _strict_from_leftsym_file),
+    "string": (HomLieAlgebra, string_from_semisimple),
+    "skeletal": (QuadraticHomLie, skeletal_from_quadratic),
+    "strict-from-crossed": (CrossedModule, crossed_to_strict),
+    "crossed-from-strict": (TwoTermHL, strict_to_crossed),
+    "strict-from-symplectic": (SymplecticHomLie, strict_from_symplectic),
+    "strict-from-leftsym": (LeftSymmetricFile, _strict_from_leftsym_file),
 }
 
 
 def _cmd_construct(args) -> int:
     record = load_model(args.input)
-    record_type, file_kind, construct = CONSTRUCTIONS[args.kind]
+    record_type, construct = CONSTRUCTIONS[args.kind]
     if not isinstance(record, record_type):
-        raise InputError(f"construct {args.kind} expects a {file_kind} file")
+        raise InputError(f"construct {args.kind} expects a {FILE_KIND[record_type]} file")
     out = construct(record)
     save_model(out, args.out)
     report = _report_for(out)

@@ -295,8 +295,11 @@ class Matrix:
     def from_dok(cls, t: dict, rows: int, cols: int) -> "Matrix":
         """The rows x cols Matrix of the map t keyed (column, row), as `dok`
         keys one, with Fraction entries; t, as `_ints` gives it, is its `dok`."""
-        m = cls(rows, cols, Tensor.from_dok({(i, j): x for (j, i), x in t.items()}, (rows, cols)))
-        object.__setattr__(m, "_dok", MappingProxyType(_ints(t)))
+        m = cls.__new__(cls)
+        data = from_dok({(i, j): rat(x) for (j, i), x in t.items()}, (rows, cols), F0)
+        for name, value in (("rows", rows), ("cols", cols), ("data", data),
+                            ("_dok", MappingProxyType(_ints(t)))):
+            object.__setattr__(m, name, value)
         return m
 
     @classmethod
@@ -368,13 +371,15 @@ class Matrix:
         return Matrix.from_dok(_ap(dok(self), ("j", dok(other)))[1], self.rows, other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.shape() != other.shape():
             raise InputError(f"shape mismatch: {self.shape()} vs {other.shape()}")
         return Matrix.from_dok(_sum((1, ("j", dok(self))), (1, ("j", dok(other))))[1],
                                self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + -other
+        return self + -other if isinstance(other, Matrix) else NotImplemented
 
     def __neg__(self) -> "Matrix":
         return Matrix.from_dok({key: -x for key, x in dok(self).items()}, self.rows, self.cols)

@@ -7,25 +7,23 @@ Unknown fields are rejected, missing fields are reported by name, and JSON
 syntax errors come back with line and column.  parse ∘ serialize is the
 identity on records, bit-exactly.
 
-Schemas (field order is also the serialization order):
-
-  hom_lie        dim, bracket[n][n][n], phi[n][n]
-  representation algebra (hom_lie), module_dim, A[m][m], rho: n matrices m x m
-  two_term_hl    dim0, dim1, d[dim0][dim1], l2_00, l2_01, l3, phi0, phi1
-  quadratic      algebra (hom_lie), B[n][n]
-  crossed_module h (hom_lie), g (hom_lie), dt[g.dim][h.dim], action: g.dim matrices h.dim x h.dim
-  left_symmetric dim, star[n][n][n], phi[n][n], optional d[n][n]
-  symplectic     algebra (hom_lie), omega[n][n]
-  hl_morphism    source (two_term_hl), target (two_term_hl), f0, f1, f2
+A file's fields are its record's dataclass fields, in order: a dimension
+(an int), a nested record (a document of the kind `SCHEMAS` names), or an
+array whose shape `SCHEMAS` works out from the dimensions and nested
+records.  Parsing reads the dimensions and nested records first, then each
+array in field order.  A `left_symmetric` file may add a last field `d`,
+the differential of the strict construction, and parses to a
+`LeftSymmetricFile`.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .cohomology import Representation
 from .constructions import (CrossedModule, HomLeftSymmetric, QuadraticHomLie,
@@ -49,8 +47,38 @@ class LeftSymmetricFile:
     d: Matrix | None
 
 
-KINDS = ("hom_lie", "representation", "two_term_hl", "quadratic",
-         "crossed_module", "left_symmetric", "symplectic", "hl_morphism")
+# kind: (record class, {field: the kind of a nested record, or an array's
+# shape from the record's earlier fields r}); a field not named is a
+# dimension.  A shape of two levels is a Matrix; a list of shapes is a tuple
+# of matrices, one per entry.
+SCHEMAS = {
+    "hom_lie": (HomLieAlgebra, {"bracket": lambda r: (r.dim,) * 3, "phi": lambda r: (r.dim,) * 2}),
+    "representation": (Representation, {"algebra": "hom_lie", "A": lambda r: (r.module_dim,) * 2,
+                                         "rho": lambda r: [(r.module_dim,) * 2] * r.algebra.dim}),
+    "two_term_hl": (TwoTermHL, {"d": lambda r: (r.dim0, r.dim1),
+                                "l2_00": lambda r: (r.dim0,) * 3,
+                                "l2_01": lambda r: (r.dim0, r.dim1, r.dim1),
+                                "l3": lambda r: (r.dim0,) * 3 + (r.dim1,),
+                                "phi0": lambda r: (r.dim0,) * 2, "phi1": lambda r: (r.dim1,) * 2}),
+    "quadratic": (QuadraticHomLie, {"algebra": "hom_lie", "B": lambda r: (r.algebra.dim,) * 2}),
+    "crossed_module": (CrossedModule, {"h": "hom_lie", "g": "hom_lie",
+                                       "dt": lambda r: (r.g.dim, r.h.dim),
+                                       "action": lambda r: [(r.h.dim,) * 2] * r.g.dim}),
+    "left_symmetric": (HomLeftSymmetric, {"star": lambda r: (r.dim,) * 3,
+                                          "phi": lambda r: (r.dim,) * 2}),
+    "symplectic": (SymplecticHomLie, {"algebra": "hom_lie",
+                                      "omega": lambda r: (r.algebra.dim,) * 2}),
+    "hl_morphism": (HLMorphism, {"source": "two_term_hl", "target": "two_term_hl",
+                                 "f0": lambda r: (r.target.dim0, r.source.dim0),
+                                 "f1": lambda r: (r.target.dim1, r.source.dim1),
+                                 "f2": lambda r: (r.source.dim0, r.source.dim0, r.target.dim1)}),
+}
+KINDS = tuple(SCHEMAS)
+# the kind of file each record class is written as
+FILE_KIND = {cls: kind for kind, (cls, _) in SCHEMAS.items()} | {LeftSymmetricFile: "left_symmetric"}
+# kind: (field, what SCHEMAS says of it) for each of the record's fields, in order
+_FIELDS = {kind: [(f.name, spec.get(f.name)) for f in fields(cls)]
+           for kind, (cls, spec) in SCHEMAS.items()}
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the only rational strings accepted
 
 
@@ -69,17 +97,10 @@ def _rational(x, path: str) -> Fraction:
         raise ModelError(f"{path}: bad rational {x!r} ({exc})") from None
 
 
-def _nat(obj, key, path) -> int:
-    v = obj.get(key)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise ModelError(f"{path}.{key}: expected a nonnegative integer")
-    return v
-
-
 def _list(x, length, path) -> list:
     if not isinstance(x, list):
         raise ModelError(f"{path}: expected a list")
-    if length is not None and len(x) != length:
+    if len(x) != length:
         raise ModelError(f"{path}: expected length {length}, got {len(x)}")
     return x
 
@@ -92,8 +113,14 @@ def _nested(x, shape, path) -> tuple:
     return tuple(_nested(e, rest, f"{path}[{i}]") for i, e in enumerate(xs))
 
 
-def _matrix(x, rows, cols, path) -> Matrix:
-    return Matrix(rows, cols, _nested(x, (rows, cols), path))
+def _array(x, shape, path):
+    """x read against `shape`: a Matrix for two levels, a tuple of arrays for
+    a list of shapes, else nested tuples."""
+    if isinstance(shape, list):
+        return tuple(_array(e, s, f"{path}[{i}]")
+                     for i, (e, s) in enumerate(zip(_list(x, len(shape), path), shape)))
+    t = _nested(x, shape, path)
+    return Matrix(*shape, t) if len(shape) == 2 else t
 
 
 def _object(x, path) -> dict:
@@ -102,36 +129,33 @@ def _object(x, path) -> dict:
     return x
 
 
-def _keys(obj: dict, required: tuple, optional: tuple, path: str):
-    missing = [k for k in required if k not in obj]
+def _record(obj: dict, kind: str, path: str, optional: tuple = ()):
+    """The record of this kind in obj: its dimensions and nested records
+    first, then each array against the shape they give it."""
+    schema = _FIELDS[kind]
+    names = ["kind", *(name for name, _ in schema)]
+    missing = [k for k in names if k not in obj]
     if missing:
         raise ModelError(f"{path}: missing field(s) {', '.join(missing)}")
-    unknown = [k for k in obj if k not in required and k not in optional]
+    unknown = sorted(k for k in obj if k not in names and k not in optional)
     if unknown:
-        raise ModelError(f"{path}: unknown field(s) {', '.join(sorted(unknown))}")
-
-
-def _parse_hom_lie(obj: dict, path: str) -> HomLieAlgebra:
-    _keys(obj, ("kind", "dim", "bracket", "phi"), (), path)
-    if obj["kind"] != "hom_lie":
-        raise ModelError(f"{path}.kind: expected 'hom_lie'")
-    n = _nat(obj, "dim", path)
-    return HomLieAlgebra(n, _nested(obj["bracket"], (n, n, n), f"{path}.bracket"),
-                         _matrix(obj["phi"], n, n, f"{path}.phi"))
-
-
-def _parse_two_term(obj: dict, path: str) -> TwoTermHL:
-    _keys(obj, ("kind", "dim0", "dim1", "d", "l2_00", "l2_01", "l3", "phi0", "phi1"), (), path)
-    if obj["kind"] != "two_term_hl":
-        raise ModelError(f"{path}.kind: expected 'two_term_hl'")
-    n0, n1 = _nat(obj, "dim0", path), _nat(obj, "dim1", path)
-    l3 = _nested(obj["l3"], (n0, n0, n0, n1), f"{path}.l3")
-    return TwoTermHL(n0, n1, _matrix(obj["d"], n0, n1, f"{path}.d"),
-                     _nested(obj["l2_00"], (n0, n0, n0), f"{path}.l2_00"),
-                     _nested(obj["l2_01"], (n0, n1, n1), f"{path}.l2_01"),
-                     l3,
-                     _matrix(obj["phi0"], n0, n0, f"{path}.phi0"),
-                     _matrix(obj["phi1"], n1, n1, f"{path}.phi1"))
+        raise ModelError(f"{path}: unknown field(s) {', '.join(unknown)}")
+    if obj["kind"] != kind:
+        raise ModelError(f"{path}.kind: expected {kind!r}")
+    values = {}
+    for name, what in schema:
+        value, where = obj[name], f"{path}.{name}"
+        if isinstance(what, str):
+            values[name] = _record(_object(value, where), what, where)
+        elif what is None:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ModelError(f"{where}: expected a nonnegative integer")
+            values[name] = value
+    earlier = SimpleNamespace(**values)
+    for name, what in schema:
+        if callable(what):
+            values[name] = _array(obj[name], what(earlier), f"{path}.{name}")
+    return SCHEMAS[kind][0](**values)
 
 
 def parse_model(text: str):
@@ -150,55 +174,11 @@ def parse_model(text: str):
     kind = obj.get("kind")
     if kind not in KINDS:
         raise ModelError(f"$.kind: expected one of {', '.join(KINDS)}, got {kind!r}")
-
-    if kind == "hom_lie":
-        return _parse_hom_lie(obj, "$")
-
-    if kind == "representation":
-        _keys(obj, ("kind", "algebra", "module_dim", "A", "rho"), (), "$")
-        g = _parse_hom_lie(_object(obj["algebra"], "$.algebra"), "$.algebra")
-        m = _nat(obj, "module_dim", "$")
-        rho = tuple(_matrix(r, m, m, f"$.rho[{i}]")
-                    for i, r in enumerate(_list(obj["rho"], g.dim, "$.rho")))
-        return Representation(g, m, _matrix(obj["A"], m, m, "$.A"), rho)
-
-    if kind == "two_term_hl":
-        return _parse_two_term(obj, "$")
-
-    if kind == "quadratic":
-        _keys(obj, ("kind", "algebra", "B"), (), "$")
-        g = _parse_hom_lie(_object(obj["algebra"], "$.algebra"), "$.algebra")
-        return QuadraticHomLie(g, _matrix(obj["B"], g.dim, g.dim, "$.B"))
-
-    if kind == "crossed_module":
-        _keys(obj, ("kind", "h", "g", "dt", "action"), (), "$")
-        h = _parse_hom_lie(_object(obj["h"], "$.h"), "$.h")
-        g = _parse_hom_lie(_object(obj["g"], "$.g"), "$.g")
-        action = tuple(_matrix(r, h.dim, h.dim, f"$.action[{i}]")
-                       for i, r in enumerate(_list(obj["action"], g.dim, "$.action")))
-        return CrossedModule(h, g, _matrix(obj["dt"], g.dim, h.dim, "$.dt"), action)
-
-    if kind == "left_symmetric":
-        _keys(obj, ("kind", "dim", "star", "phi"), ("d",), "$")
-        n = _nat(obj, "dim", "$")
-        product = HomLeftSymmetric(n, _nested(obj["star"], (n, n, n), "$.star"),
-                                   _matrix(obj["phi"], n, n, "$.phi"))
-        d = _matrix(obj["d"], n, n, "$.d") if "d" in obj else None
-        return LeftSymmetricFile(product, d)
-
-    if kind == "symplectic":
-        _keys(obj, ("kind", "algebra", "omega"), (), "$")
-        g = _parse_hom_lie(_object(obj["algebra"], "$.algebra"), "$.algebra")
-        return SymplecticHomLie(g, _matrix(obj["omega"], g.dim, g.dim, "$.omega"))
-
-    # hl_morphism
-    _keys(obj, ("kind", "source", "target", "f0", "f1", "f2"), (), "$")
-    src = _parse_two_term(_object(obj["source"], "$.source"), "$.source")
-    tgt = _parse_two_term(_object(obj["target"], "$.target"), "$.target")
-    f2 = _nested(obj["f2"], (src.dim0, src.dim0, tgt.dim1), "$.f2")
-    return HLMorphism(src, tgt,
-                      _matrix(obj["f0"], tgt.dim0, src.dim0, "$.f0"),
-                      _matrix(obj["f1"], tgt.dim1, src.dim1, "$.f1"), f2)
+    if kind != "left_symmetric":
+        return _record(obj, kind, "$")
+    product = _record(obj, kind, "$", optional=("d",))
+    d = _array(obj["d"], (product.dim,) * 2, "$.d") if "d" in obj else None
+    return LeftSymmetricFile(product, d)
 
 
 def load_model(path):
@@ -210,51 +190,24 @@ def load_model(path):
 # --------------------------------------------------------------------------
 
 def _s(x):
-    """A Fraction as its canonical string; a vector, matrix or tensor as nested lists of them."""
+    """A Fraction as its canonical string, a dimension as itself, a nested
+    record as its document; a vector, matrix or tensor as nested lists of them."""
     if isinstance(x, Matrix):
         x = x.data
-    return [_s(e) for e in x] if isinstance(x, tuple) else str(x)
-
-
-def _doc_hom_lie(g: HomLieAlgebra) -> dict:
-    return {"kind": "hom_lie", "dim": g.dim, "bracket": _s(g.bracket), "phi": _s(g.phi)}
-
-
-def _doc_two_term(v: TwoTermHL) -> dict:
-    return {"kind": "two_term_hl", "dim0": v.dim0, "dim1": v.dim1,
-            "d": _s(v.d), "l2_00": _s(v.l2_00), "l2_01": _s(v.l2_01),
-            "l3": _s(v.l3), "phi0": _s(v.phi0), "phi1": _s(v.phi1)}
+    if isinstance(x, tuple):
+        return [_s(e) for e in x]
+    return x if isinstance(x, int) else str(x) if isinstance(x, Fraction) else model_document(x)
 
 
 def model_document(record) -> dict:
-    if isinstance(record, HomLieAlgebra):
-        return _doc_hom_lie(record)
-    if isinstance(record, Representation):
-        return {"kind": "representation", "algebra": _doc_hom_lie(record.algebra),
-                "module_dim": record.module_dim, "A": _s(record.A), "rho": _s(record.rho)}
-    if isinstance(record, TwoTermHL):
-        return _doc_two_term(record)
-    if isinstance(record, QuadraticHomLie):
-        return {"kind": "quadratic", "algebra": _doc_hom_lie(record.algebra), "B": _s(record.B)}
-    if isinstance(record, CrossedModule):
-        return {"kind": "crossed_module", "h": _doc_hom_lie(record.h),
-                "g": _doc_hom_lie(record.g), "dt": _s(record.dt), "action": _s(record.action)}
+    """The document of a record: its kind, then each of its fields."""
+    extra = {}
     if isinstance(record, LeftSymmetricFile):
-        doc = {"kind": "left_symmetric", "dim": record.product.dim,
-               "star": _s(record.product.star), "phi": _s(record.product.phi)}
-        if record.d is not None:
-            doc["d"] = _s(record.d)
-        return doc
-    if isinstance(record, HomLeftSymmetric):
-        return model_document(LeftSymmetricFile(record, None))
-    if isinstance(record, SymplecticHomLie):
-        return {"kind": "symplectic", "algebra": _doc_hom_lie(record.algebra),
-                "omega": _s(record.omega)}
-    if isinstance(record, HLMorphism):
-        return {"kind": "hl_morphism", "source": _doc_two_term(record.source),
-                "target": _doc_two_term(record.target), "f0": _s(record.f0),
-                "f1": _s(record.f1), "f2": _s(record.f2)}
-    raise InputError(f"cannot serialize {type(record).__name__}")
+        record, extra = record.product, {} if record.d is None else {"d": _s(record.d)}
+    kind = FILE_KIND.get(type(record))
+    if kind is None:
+        raise InputError(f"cannot serialize {type(record).__name__}")
+    return {"kind": kind, **{f.name: _s(getattr(record, f.name)) for f in fields(record)}, **extra}
 
 
 def _format(value, indent: int) -> str:

@@ -91,6 +91,17 @@ def test_construct_then_check(tmp_path, kind, fixture):
     assert run("check", str(out)) == 0
 
 
+@pytest.mark.parametrize("kind, kind_of_file", [
+    ("string", "hom_lie"), ("skeletal", "quadratic"), ("strict-from-crossed", "crossed_module"),
+    ("crossed-from-strict", "two_term_hl"), ("strict-from-symplectic", "symplectic"),
+    ("strict-from-leftsym", "left_symmetric"),
+])
+def test_construct_names_the_kind_of_file_it_expects(kind, kind_of_file, tmp_path, capsys):
+    wrong = "sl2_adjoint_rep.json"    # a representation: no construction takes one
+    assert run("construct", kind, str(FIX / wrong), "--out", str(tmp_path / "o.json")) == 2
+    assert capsys.readouterr().err == f"input error: construct {kind} expects a {kind_of_file} file\n"
+
+
 def test_construct_skeletal_from_quadratic(tmp_path):
     from homlie2.constructions import QuadraticHomLie, sl2_example
     from homlie2.homlie import killing_form

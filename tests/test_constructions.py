@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from helpers import (heisenberg, is_identity, nilpotent4, random_involution, reference_pair,
-                     rnd_frac, shift_strict, sl2_sum, trace)
+                     rnd_frac, shift_strict, sl2_sum, sl_n, trace)
 from homlie2.cohomology import (Representation, check_representation,
                                 class_is_trivial, coboundary,
                                 trivial_representation)
@@ -20,9 +20,9 @@ from homlie2.constructions import (CrossedModule, HomLeftSymmetric,
                                    strict_to_crossed, string_from_semisimple)
 from homlie2.errors import PreconditionError
 from homlie2.exactlin import Matrix, inverse, rank
-from homlie2.hl2 import check_two_term
+from homlie2.hl2 import check_hom_lie2, check_two_term, functor_T, roundtrip_check
 from homlie2.homlie import HomLieAlgebra, abelian_algebra, killing_form
-from homlie2.modelfile import load_model
+from homlie2.modelfile import load_model, parse_model, serialize_model
 
 F = Fraction
 
@@ -142,6 +142,19 @@ def test_string_l3_is_the_killing_form_on_the_bracket(c):
         assert v.l3[i][j][k] == want and type(v.l3[i][j][k][0]) is Fraction
     assert repr(l3_from_B(QuadraticHomLie(g, K)).comps) == repr(tuple(
         v.l3[i][j][k] for i, j, k in combinations(range(n), 3)))
+
+
+@pytest.mark.parametrize("theta", [False, True], ids=["id", "theta"])
+def test_sl3_string_structure_passes_every_check(theta):
+    """sl(3), untwisted and Yau-twisted by θ(X) = −Xᵀ: the string structure
+    passes its ten conditions, the present-and-extract identity and the
+    hom-Lie 2-algebra laws of its presentation, and its model file round-trips."""
+    v = string_from_semisimple(sl_n(3, theta))
+    assert (v.dim0, v.dim1) == (8, 1)
+    assert check_two_term(v).ok
+    assert roundtrip_check(v).ok
+    assert check_hom_lie2(functor_T(v)).ok
+    assert parse_model(serialize_model(v)) == v
 
 
 def test_string_class_is_nontrivial():

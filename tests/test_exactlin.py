@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import comb
 
@@ -263,6 +264,39 @@ def test_matrix_from_dok_keeps_its_map_as_dok():
     assert Matrix.from_dok(kept, 2, 1).dok == kept
     for m in (Matrix.identity(3), Matrix.zeros(0, 2), Matrix.diagonal([1, "2/3"])):
         assert dict(m.dok) == dict(dok(Matrix(m.rows, m.cols, _entries(m))))
+
+
+@given(rational_matrices(max_rows=5, max_cols=5))
+@settings(max_examples=80, deadline=None)
+def test_from_dok_matches_the_list_built_matrix(m):
+    """Rows built straight from a map, with 0 rows or 0 columns among the
+    shapes: the same repr, equality, hash, Fraction entries and `dok` as the
+    matrix built from lists.  Zero entries and Fraction-typed integers in the
+    map change nothing."""
+    t = {(j, 0): 0 for j in range(m.cols) if m.rows} | {key: F(x) for key, x in dok(m).items()}
+    for built in (Matrix.from_dok(dok(m), m.rows, m.cols), Matrix.from_dok(t, m.rows, m.cols)):
+        assert repr(built) == repr(m) and built == m and hash(built) == hash(m)
+        assert all(type(x) is Fraction for row in built.data for x in row)
+        assert dict(built.dok) == dict(dok(Matrix(m.rows, m.cols, _entries(m))))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_from_dok_builds_empty_shapes_as_lists_do(shape):
+    rows, cols = shape
+    m = Matrix.from_dok({}, rows, cols)
+    want = Matrix(rows, cols, [[0] * cols for _ in range(rows)])
+    assert repr(m) == repr(want) and m == want and m.data == want.data
+    assert dict(m.dok) == dict(want.dok) == {}
+
+
+@pytest.mark.parametrize("other", [3, F(1, 2), "1", None, [[1, 0], [0, 1]]])
+@pytest.mark.parametrize("symbol, op", [("+", operator.add), ("-", operator.sub)])
+def test_matrix_plus_or_minus_a_non_matrix_is_a_type_error(symbol, op, other):
+    m = Matrix.identity(2)
+    with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \{symbol}: 'Matrix'"):
+        op(m, other)
+    with pytest.raises(TypeError):
+        op(other, m)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
